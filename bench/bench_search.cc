@@ -146,7 +146,9 @@ void BM_IngestLazySubmit(benchmark::State& state) {
   BuddyAllocator alloc(kPageSize, kHeap);
   hfad::btree::BTree tree(&pager, &alloc, 0);
   ft::FullTextIndex index(&tree);
-  ft::LazyIndexer lazy(&index, static_cast<int>(state.range(0)));
+  ft::LazyIndexer lazy([&index](const ft::DocumentBatch& batch) {
+    return index.IndexDocuments(batch);
+  }, static_cast<int>(state.range(0)));
   Random rng(7);
   uint64_t d = 0;
   for (auto _ : state) {

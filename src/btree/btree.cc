@@ -267,9 +267,13 @@ void CompactPage(Page& p) {
 // Byte-aware split point for an ordered cell list. Returns i such that left = [0, i) and
 // right = [i, n) (or right = [i+1, n) when promote_middle, with cell i promoted upward)
 // both fit in a fresh page including their slot arrays; prefers the most balanced choice.
-// Returns 0 when no legal split exists — impossible while cells respect kMaxKeySize /
-// kMaxInlineValue, and treated as corruption by callers.
-size_t SplitPoint(const std::vector<std::string>& cells, bool promote_middle) {
+// `run_bytes` more are known to follow cell `run_after` (a sorted bulk load's run), and
+// count toward whichever side will receive them, so the pages come out balanced once
+// the run has landed rather than now. Returns 0 when no legal split exists — impossible
+// while cells respect kMaxKeySize / kMaxInlineValue, and treated as corruption by
+// callers.
+size_t SplitPoint(const std::vector<std::string>& cells, bool promote_middle,
+                  size_t run_after = 0, size_t run_bytes = 0) {
   const size_t cap = kPageSize - kHdrSize;
   std::vector<size_t> prefix(cells.size() + 1, 0);
   for (size_t i = 0; i < cells.size(); i++) {
@@ -283,6 +287,11 @@ size_t SplitPoint(const std::vector<std::string>& cells, bool promote_middle) {
     size_t right = total - prefix[promote_middle ? i + 1 : i];
     if (left > cap || right > cap) {
       continue;
+    }
+    if (i > run_after) {
+      left += run_bytes;  // The run lands left of a split after its predecessor.
+    } else {
+      right += run_bytes;
     }
     size_t score = left > right ? left - right : right - left;
     if (score < best_score) {
@@ -490,9 +499,9 @@ class BTree::Impl {
     std::string hint_upper;
     bool hint_bounded = false;
     bool hint_valid = false;
-    for (const auto& [key_str, value_str] : entries) {
-      Slice key(key_str);
-      Slice value(value_str);
+    for (size_t i = 0; i < entries.size(); i++) {
+      Slice key(entries[i].first);
+      Slice value(entries[i].second);
       std::string cell;
       uint64_t new_ov_offset = 0;
       if (value.size() > kMaxInlineValue) {
@@ -550,8 +559,25 @@ class BTree::Impl {
         inserted++;
       }
 
+      // About to split a full leaf: measure the run of following keys that will land
+      // in this leaf right after this one (up to a page), so the split leaves room
+      // where the run goes instead of a trail of half-empty pages behind it.
+      size_t run_bytes = 0;
+      if (FreeSpace(*leaf) < cell.size() + 2) {
+        Slice succ(hint_upper);
+        bool bounded = hint_bounded;
+        if (pos < NSlots(*leaf)) {
+          bounded = ParseCellKey(*leaf, pos, &succ);
+        }
+        for (size_t j = i + 1; j < entries.size() && run_bytes < kPageSize; j++) {
+          if (bounded && Slice(entries[j].first).Compare(succ) >= 0) {
+            break;
+          }
+          run_bytes += entries[j].first.size() + entries[j].second.size() + 6;
+        }
+      }
       bool split = false;
-      Status s = InsertIntoLeaf(leaf, pos, cell, key, hint_path, &split);
+      Status s = InsertIntoLeaf(leaf, pos, cell, key, hint_path, &split, run_bytes);
       if (!s.ok()) {
         if (new_ov_offset != 0) {
           (void)alloc_->Free(new_ov_offset);
@@ -770,8 +796,11 @@ class BTree::Impl {
   // Insert `cell` at slot `pos` of `leaf`, splitting up the recorded path as needed.
   // *split, when non-null, reports whether a page split occurred (which invalidates any
   // cached descent path into this leaf).
+  // `run_bytes`: bulk-loaded bytes that will follow the new cell into this leaf (see
+  // SplitPoint).
   Status InsertIntoLeaf(PageRef leaf, int pos, const std::string& cell, Slice /*key*/,
-                        const std::vector<Frame>& path, bool* split = nullptr) {
+                        const std::vector<Frame>& path, bool* split = nullptr,
+                        size_t run_bytes = 0) {
     if (split != nullptr) {
       *split = false;
     }
@@ -803,7 +832,8 @@ class BTree::Impl {
     }
     cells.insert(cells.begin() + pos, cell);
 
-    size_t mid = SplitPoint(cells, /*promote_middle=*/false);
+    size_t mid = SplitPoint(cells, /*promote_middle=*/false, static_cast<size_t>(pos),
+                            run_bytes);
     if (mid == 0) {
       return Status::Corruption("no legal leaf split point");
     }

@@ -66,9 +66,11 @@ class BTree {
   // are legal; the later one wins, matching a Put sequence). Takes the tree lock and
   // the pager mutation hold once for the whole batch, and reuses the located leaf
   // across consecutive entries while interior routing permits, so a sorted batch costs
-  // far fewer descents than the equivalent Put loop. `inserted`, when non-null,
-  // receives the number of keys newly inserted (overwrites excluded). Out-of-order
-  // input fails with InvalidArgument before any mutation.
+  // far fewer descents than the equivalent Put loop. A leaf that splits while more of
+  // the batch is still to land in it splits so its pages balance once that run has
+  // landed, so runs fill pages instead of leaving half-empty ones behind. `inserted`,
+  // when non-null, receives the number of keys newly inserted (overwrites excluded).
+  // Out-of-order input fails with InvalidArgument before any mutation.
   Status BulkLoad(const std::vector<std::pair<std::string, std::string>>& entries,
                   uint64_t* inserted = nullptr);
 

@@ -125,8 +125,9 @@ FileSystem::FileSystem(std::unique_ptr<osd::OsdCluster> cluster,
   query_engine_ = std::make_unique<query::QueryEngine>(indexes_.get());
   if (options_.lazy_indexing_threads > 0) {
     auto* ft = static_cast<index::FullTextIndexStore*>(indexes_->store(index::kTagFulltext));
-    lazy_indexer_ = std::make_unique<fulltext::LazyIndexer>(ft->engine(),
-                                                            options_.lazy_indexing_threads);
+    lazy_indexer_ = std::make_unique<fulltext::LazyIndexer>(
+        [ft](const fulltext::DocumentBatch& batch) { return ft->ApplyBatch(batch, {}); },
+        options_.lazy_indexing_threads);
   }
   if (options_.lazy_tag_indexing) {
     tag_indexer_ = std::make_unique<LazyTagIndexer>(indexes_.get(),
@@ -655,6 +656,9 @@ Status FileSystem::Remove(ObjectId oid) {
     uint64_t token = 0;
     HFAD_RETURN_IF_ERROR(
         cluster_->AppendForeign(oid, EncodeOidRecord(kNsUnindexContent, oid), &token));
+    if (lazy_indexer_ != nullptr) {
+      lazy_indexer_->Cancel(oid);  // A queued snapshot must not re-index it afterwards.
+    }
     auto* ft = static_cast<index::FullTextIndexStore*>(indexes_->store(index::kTagFulltext));
     Status s = ft->Remove(Slice(), oid);
     if (!s.ok() && !s.IsNotFound()) {

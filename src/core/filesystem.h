@@ -18,8 +18,9 @@
 //
 // Content indexing follows §3.4: "we use background threads to perform lazy full-text
 // indexing." IndexContent(oid) snapshots the object's bytes and either indexes them
-// synchronously (lazy_indexing_threads == 0) or queues them for the background workers;
-// WaitForIndexing() drains the queue.
+// synchronously (lazy_indexing_threads == 0) or queues them for the background workers,
+// which apply up to LazyIndexer::kBatchLimit documents at a time through the full-text
+// store's ApplyBatch; WaitForIndexing() drains the queue.
 //
 // Open question #2 ("extend the notion of a current directory to be an iterative
 // refinement of a search") is implemented by SearchCursor: a stack of refinements whose

@@ -48,67 +48,108 @@ const char kStatsKey[] = "S";
 FullTextIndex::FullTextIndex(btree::BTree* tree, Bm25Params params)
     : tree_(tree), params_(params) {}
 
-Status FullTextIndex::IndexDocument(uint64_t docid, Slice text) {
-  // Tokenize outside the lock: it is the CPU-heavy part and touches no shared state.
-  std::vector<Token> tokens = Tokenize(text);
-  uint64_t doc_len = tokens.empty() ? 0 : tokens.back().position + 1;
-
-  // term -> (freq, positions)
-  std::map<std::string, std::pair<uint32_t, std::vector<uint32_t>>> terms;
-  for (const Token& t : tokens) {
-    auto& entry = terms[t.term];
-    entry.first++;
-    entry.second.push_back(t.position);
+FullTextIndex::PreparedBatch FullTextIndex::Prepare(const DocumentBatch& docs) {
+  // Last entry wins per docid; the map also visits docids in ascending order.
+  std::map<uint64_t, const std::string*> latest;
+  for (const auto& [text, docid] : docs) {
+    latest[docid] = &text;
   }
+  PreparedBatch batch;
+  if (latest.empty()) {
+    return batch;
+  }
+  std::map<std::string, uint64_t> df_adds;  // term -> batch docs containing it
+  std::vector<std::pair<std::string, std::string>> doc_entries;
+  for (const auto& [docid, text] : latest) {
+    std::vector<Token> tokens = Tokenize(*text);
+    const uint64_t doc_len = tokens.empty() ? 0 : tokens.back().position + 1;
+    std::map<std::string, std::vector<uint32_t>> terms;  // term -> positions
+    for (Token& t : tokens) {
+      terms[std::move(t.term)].push_back(t.position);
+    }
+    std::string doc_terms;
+    for (const auto& [term, positions] : terms) {
+      // Posting: freq, then delta-encoded positions.
+      std::string posting;
+      PutVarint32(&posting, static_cast<uint32_t>(positions.size()));
+      uint32_t prev = 0;
+      for (uint32_t pos : positions) {
+        PutVarint32(&posting, pos - prev);
+        prev = pos;
+      }
+      doc_entries.emplace_back(PostingKey(term, docid), std::move(posting));
+      PutLengthPrefixed(&doc_terms, term);
+      df_adds[term]++;
+    }
+    doc_entries.emplace_back(DocTermsKey(docid), std::move(doc_terms));
+    std::string len_val;
+    PutVarint64(&len_val, doc_len);
+    doc_entries.emplace_back(DocLenKey(docid), std::move(len_val));
+    batch.docids_.push_back(docid);
+    batch.tokens_ += doc_len;
+    batch.postings_ += terms.size();
+  }
+  doc_entries.emplace_back(kStatsKey, std::string());  // Value filled by Apply.
+  std::sort(doc_entries.begin(), doc_entries.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
 
+  // "D" sorts before every "L"/"P"/"S"/"T" key, and the map yields terms in order, so
+  // the df entries lead the batch; their values are filled by Apply.
+  batch.entries_.reserve(df_adds.size() + doc_entries.size());
+  for (const auto& [term, n] : df_adds) {
+    batch.entries_.emplace_back(DfKey(term), std::string());
+    batch.df_adds_.push_back(n);
+  }
+  for (auto& entry : doc_entries) {
+    if (entry.first == kStatsKey) {
+      batch.stats_slot_ = batch.entries_.size();
+    }
+    batch.entries_.push_back(std::move(entry));
+  }
+  return batch;
+}
+
+Status FullTextIndex::Apply(PreparedBatch batch) {
+  if (batch.docids_.empty()) {
+    return Status::Ok();
+  }
   std::lock_guard<std::mutex> lock(write_mu_);
   // Re-indexing replaces the previous version.
-  Status removed = RemoveLocked(docid);
-  if (!removed.ok() && !removed.IsNotFound()) {
-    return removed;
-  }
-
-  std::string doc_terms;
-  for (const auto& [term, entry] : terms) {
-    // Posting: freq, then delta-encoded positions.
-    std::string posting;
-    PutVarint32(&posting, entry.first);
-    uint32_t prev = 0;
-    for (uint32_t pos : entry.second) {
-      PutVarint32(&posting, pos - prev);
-      prev = pos;
+  for (uint64_t docid : batch.docids_) {
+    Status removed = RemoveLocked(docid);
+    if (!removed.ok() && !removed.IsNotFound()) {
+      return removed;
     }
-    HFAD_RETURN_IF_ERROR(tree_->Put(PostingKey(term, docid), posting));
-
-    // Document frequency.
+  }
+  // One df rewrite per distinct term, read in key order.
+  for (size_t i = 0; i < batch.df_adds_.size(); i++) {
+    auto& [key, value] = batch.entries_[i];
     uint64_t df = 0;
-    auto raw = tree_->Get(DfKey(term));
+    auto raw = tree_->Get(key);
     if (raw.ok()) {
       Slice in(*raw);
       GetVarint64(&in, &df);
     } else if (!raw.status().IsNotFound()) {
       return raw.status();
     }
-    std::string df_val;
-    PutVarint64(&df_val, df + 1);
-    HFAD_RETURN_IF_ERROR(tree_->Put(DfKey(term), df_val));
-
-    PutLengthPrefixed(&doc_terms, term);
-    stats::Add(stats::Counter::kFulltextTermsPosted);
+    PutVarint64(&value, df + batch.df_adds_[i]);
   }
-  HFAD_RETURN_IF_ERROR(tree_->Put(DocTermsKey(docid), doc_terms));
-
-  std::string len_val;
-  PutVarint64(&len_val, doc_len);
-  HFAD_RETURN_IF_ERROR(tree_->Put(DocLenKey(docid), len_val));
-
   HFAD_ASSIGN_OR_RETURN(auto cs, CorpusStats());
-  std::string stats_val;
-  PutVarint64(&stats_val, cs.first + 1);
-  PutVarint64(&stats_val, cs.second + doc_len);
-  HFAD_RETURN_IF_ERROR(tree_->Put(kStatsKey, stats_val));
-  stats::Add(stats::Counter::kFulltextDocsIndexed);
+  std::string& stats_val = batch.entries_[batch.stats_slot_].second;
+  PutVarint64(&stats_val, cs.first + batch.docids_.size());
+  PutVarint64(&stats_val, cs.second + batch.tokens_);
+  HFAD_RETURN_IF_ERROR(tree_->BulkLoad(batch.entries_));
+  stats::Add(stats::Counter::kFulltextDocsIndexed, batch.docids_.size());
+  stats::Add(stats::Counter::kFulltextTermsPosted, batch.postings_);
   return Status::Ok();
+}
+
+Status FullTextIndex::IndexDocuments(const DocumentBatch& docs) {
+  return Apply(Prepare(docs));
+}
+
+Status FullTextIndex::IndexDocument(uint64_t docid, Slice text) {
+  return IndexDocuments({{text.ToString(), docid}});
 }
 
 Status FullTextIndex::RemoveDocument(uint64_t docid) {
@@ -468,7 +509,7 @@ Result<uint64_t> FullTextIndex::DocumentFrequency(const std::string& term) const
 
 // ---------------------------------------------------------------- LazyIndexer
 
-LazyIndexer::LazyIndexer(FullTextIndex* index, int num_threads) : index_(index) {
+LazyIndexer::LazyIndexer(ApplyFn apply, int num_threads) : apply_(std::move(apply)) {
   workers_.reserve(static_cast<size_t>(num_threads));
   for (int i = 0; i < num_threads; i++) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -489,14 +530,24 @@ LazyIndexer::~LazyIndexer() {
 void LazyIndexer::Submit(uint64_t docid, std::string text) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    queue_.emplace_back(docid, std::move(text));
+    queue_.emplace_back(std::move(text), docid);
   }
   cv_.notify_one();
 }
 
 void LazyIndexer::Drain() {
   std::unique_lock<std::mutex> lock(mu_);
-  drained_cv_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
+  done_cv_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
+}
+
+void LazyIndexer::Cancel(uint64_t docid) {
+  std::unique_lock<std::mutex> lock(mu_);
+  queue_.erase(std::remove_if(queue_.begin(), queue_.end(),
+                              [docid](const auto& doc) { return doc.second == docid; }),
+               queue_.end());
+  done_cv_.notify_all();  // Drain may be waiting on the entries just dropped...
+  cv_.notify_all();       // ...and workers on a front that is gone.
+  done_cv_.wait(lock, [this, docid] { return busy_docids_.count(docid) == 0; });
 }
 
 size_t LazyIndexer::backlog() const {
@@ -509,30 +560,43 @@ Status LazyIndexer::first_error() const {
   return first_error_;
 }
 
+bool LazyIndexer::FrontIsFree() const {
+  return !queue_.empty() && busy_docids_.count(queue_.front().second) == 0;
+}
+
 void LazyIndexer::WorkerLoop() {
   for (;;) {
-    std::pair<uint64_t, std::string> work;
+    DocumentBatch batch;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return !queue_.empty() || shutdown_; });
-      if (queue_.empty()) {
+      cv_.wait(lock, [this] { return FrontIsFree() || (shutdown_ && queue_.empty()); });
+      if (!FrontIsFree()) {
         return;  // Shutdown with nothing left: workers drain the queue first.
       }
-      work = std::move(queue_.front());
-      queue_.pop_front();
-      in_flight_++;
+      // Stop at the first document another worker's batch holds a version of, so that
+      // this batch cannot overtake it.
+      while (batch.size() < kBatchLimit && FrontIsFree()) {
+        batch.push_back(std::move(queue_.front()));
+        queue_.pop_front();
+      }
+      for (const auto& doc : batch) {
+        busy_docids_.insert(doc.second);
+      }
+      in_flight_ += batch.size();
     }
-    Status s = index_->IndexDocument(work.first, Slice(work.second));
+    Status s = apply_(batch);
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (!s.ok() && first_error_.ok()) {
         first_error_ = s;
       }
-      in_flight_--;
-      if (queue_.empty() && in_flight_ == 0) {
-        drained_cv_.notify_all();
+      for (const auto& doc : batch) {
+        busy_docids_.erase(doc.second);
       }
+      in_flight_ -= batch.size();
     }
+    done_cv_.notify_all();
+    cv_.notify_all();  // Freed docids may unblock the queue's front.
   }
 }
 

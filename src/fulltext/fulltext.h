@@ -6,27 +6,36 @@
 //
 //   "P" term '\0' oid(8B BE) -> varint freq, delta-varint positions   (one posting)
 //   "D" term                 -> varint document frequency
-//   "T" oid(8B BE)           -> per-doc term list (term, freq)*       (for removal)
+//   "T" oid(8B BE)           -> per-doc term list, length-prefixed     (for removal)
 //   "L" oid(8B BE)           -> varint document length in tokens
 //   "S"                      -> varint doc_count, varint total_tokens (corpus stats)
 //
 // Queries are conjunctive (§3.1.1: results are "the conjunction of the results of an
-// index lookup for each element") and ranked by BM25. Indexing can be synchronous or
-// handed to the LazyIndexer, which mirrors the paper's "background threads to perform
-// lazy full-text indexing" (§3.4).
+// index lookup for each element") and ranked by BM25.
 //
-// Thread safety: Search is safe concurrently with indexing; Index/Remove are internally
-// serialized (tokenization happens outside the lock).
+// Documents enter the index in sorted batches, the one write path: Prepare tokenizes a
+// batch and lays out its postings and per-document entries in key order without any
+// lock; Apply then removes earlier versions, fills in one aggregated df per distinct
+// term and one corpus-stats entry, and writes the whole batch with a single
+// BTree::BulkLoad. IndexDocument is the one-element batch. The LazyIndexer feeds
+// batches from background threads, mirroring the paper's "background threads to
+// perform lazy full-text indexing" (§3.4).
+//
+// Thread safety: Search is safe concurrently with indexing; Apply/Remove are internally
+// serialized (tokenization happens outside the lock, in Prepare).
 #ifndef HFAD_SRC_FULLTEXT_FULLTEXT_H_
 #define HFAD_SRC_FULLTEXT_FULLTEXT_H_
 
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "src/btree/btree.h"
@@ -42,6 +51,10 @@ struct SearchHit {
   double score = 0.0;  // BM25; higher is better.
 };
 
+// Documents to index as (text, docid) pairs: the (value, oid) shape of
+// index::IndexStore::ApplyBatch's adds, so a store hands its batch through uncopied.
+using DocumentBatch = std::vector<std::pair<std::string, uint64_t>>;
+
 // BM25 parameters (standard defaults).
 struct Bm25Params {
   double k1 = 1.2;
@@ -56,7 +69,32 @@ class FullTextIndex {
   FullTextIndex(const FullTextIndex&) = delete;
   FullTextIndex& operator=(const FullTextIndex&) = delete;
 
-  // Index (or re-index) a document. Replaces any previous content for docid.
+  // A batch tokenized and laid out as key-sorted index entries, ready for Apply. Only
+  // the df and corpus-stats values are left for Apply, which reads them from the tree.
+  class PreparedBatch {
+    friend class FullTextIndex;
+    std::vector<uint64_t> docids_;                               // Distinct, ascending.
+    std::vector<std::pair<std::string, std::string>> entries_;  // Ascending keys.
+    std::vector<uint64_t> df_adds_;  // Docs adding each term; entries_[i] is its "D" key.
+    size_t stats_slot_ = 0;          // Index of the "S" entry in entries_.
+    uint64_t tokens_ = 0;            // Summed document lengths.
+    uint64_t postings_ = 0;          // Number of "P" entries.
+  };
+
+  // Tokenize a batch and sort its entries. Takes no lock and touches no tree. Where a
+  // docid appears more than once, the last entry wins, as in a sequence of
+  // IndexDocument calls.
+  static PreparedBatch Prepare(const DocumentBatch& docs);
+
+  // Index (or re-index) a prepared batch: remove earlier versions of its documents,
+  // then write every posting, per-document entry, one df per distinct term and the
+  // corpus stats with one BTree::BulkLoad.
+  Status Apply(PreparedBatch batch);
+
+  // Prepare + Apply.
+  Status IndexDocuments(const DocumentBatch& docs);
+
+  // Index (or re-index) one document: the one-element IndexDocuments.
   Status IndexDocument(uint64_t docid, Slice text);
 
   // Remove a document from the index. NotFound if it was never indexed.
@@ -118,11 +156,20 @@ class FullTextIndex {
   mutable std::mutex write_mu_;  // Serializes multi-entry index mutations.
 };
 
-// Background lazy indexer (§3.4): worker threads drain a queue of (docid, text) pairs
-// into a FullTextIndex. Documents are searchable only after they have been drained.
+// Background lazy indexer (§3.4): worker threads drain a queue of (docid, text) pairs in
+// batches of up to kBatchLimit and hand each batch to `apply` — in a FileSystem, the
+// full-text store's ApplyBatch, which indexes it with one sorted bulk load and persists
+// the store's root. Documents are searchable only after their batch has been applied.
+// Versions of one docid apply in submission order: a worker never takes a document
+// whose docid is in another worker's batch.
 class LazyIndexer {
  public:
-  LazyIndexer(FullTextIndex* index, int num_threads);
+  using ApplyFn = std::function<Status(const DocumentBatch& batch)>;
+
+  // Documents taken per wakeup (the same cap as the lazy tag indexer's batches).
+  static constexpr size_t kBatchLimit = 256;
+
+  LazyIndexer(ApplyFn apply, int num_threads);
   ~LazyIndexer();  // Drains the queue, then joins the workers.
 
   LazyIndexer(const LazyIndexer&) = delete;
@@ -134,6 +181,10 @@ class LazyIndexer {
   // Block until every submitted document has been indexed.
   void Drain();
 
+  // Drop every queued version of docid and wait until no worker's batch holds one, so
+  // a removal that follows is not overtaken by an earlier snapshot.
+  void Cancel(uint64_t docid);
+
   // Documents waiting or in flight.
   size_t backlog() const;
 
@@ -142,12 +193,15 @@ class LazyIndexer {
 
  private:
   void WorkerLoop();
+  // The queue's front may be taken: its docid is in no worker's batch. Holds mu_.
+  bool FrontIsFree() const;
 
-  FullTextIndex* const index_;
+  const ApplyFn apply_;
   mutable std::mutex mu_;
-  std::condition_variable cv_;         // Signals work available or shutdown.
-  std::condition_variable drained_cv_; // Signals backlog reaching zero.
-  std::deque<std::pair<uint64_t, std::string>> queue_;
+  std::condition_variable cv_;       // Signals work available, docids freed or shutdown.
+  std::condition_variable done_cv_;  // Signals a batch finished or the queue shrank.
+  std::deque<std::pair<std::string, uint64_t>> queue_;  // (text, docid)
+  std::unordered_set<uint64_t> busy_docids_;            // Docids in workers' batches.
   size_t in_flight_ = 0;
   bool shutdown_ = false;
   Status first_error_;

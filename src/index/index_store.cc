@@ -570,8 +570,21 @@ Status FullTextIndexStore::SyncRoot() {
 }
 
 Status FullTextIndexStore::Add(Slice content, ObjectId oid) {
+  return ApplyBatch({{content.ToString(), oid}}, {});
+}
+
+Status FullTextIndexStore::ApplyBatch(
+    const std::vector<std::pair<std::string, ObjectId>>& adds,
+    const std::vector<std::pair<std::string, ObjectId>>& removes) {
+  fulltext::FullTextIndex::PreparedBatch prepared = fulltext::FullTextIndex::Prepare(adds);
   std::unique_lock<std::shared_mutex> lock(mu_);
-  HFAD_RETURN_IF_ERROR(engine_->IndexDocument(oid, content));
+  HFAD_RETURN_IF_ERROR(engine_->Apply(std::move(prepared)));
+  for (const auto& [content, oid] : removes) {
+    Status s = engine_->RemoveDocument(oid);
+    if (!s.ok() && !s.IsNotFound()) {
+      return s;
+    }
+  }
   return SyncRoot();
 }
 

@@ -78,8 +78,9 @@ class IndexStore {
   // Apply a batch of deferred mutations — the background indexer's write path. Adds
   // apply before removes; removing an absent association is NOT an error here (a
   // deferred remove legitimately chases an add that was collapsed away). The default
-  // loops Add/Remove, correct for any plug-in store; KeyValueIndexStore overrides it
-  // with one lock acquisition and a sorted Btree::BulkLoad.
+  // loops Add/Remove, correct for any plug-in store; KeyValueIndexStore and
+  // FullTextIndexStore override it with one lock acquisition and a sorted
+  // Btree::BulkLoad.
   virtual Status ApplyBatch(const std::vector<std::pair<std::string, ObjectId>>& adds,
                             const std::vector<std::pair<std::string, ObjectId>>& removes);
 
@@ -203,8 +204,9 @@ class KeyValueIndexStore : public IndexStore {
 };
 
 // Full-text store: Add() treats the value as document *content* to index; Lookup()
-// treats the value as a single search term. Ranked multi-term search goes through
-// engine() directly (the IndexStore interface is set semantics only).
+// treats the value as a single search term. Ranked multi-term search reads through
+// engine() (the IndexStore interface is set semantics only); every write goes through
+// the store, so its root stays registered.
 class FullTextIndexStore : public IndexStore {
  public:
   static Result<std::unique_ptr<FullTextIndexStore>> Mount(osd::Osd* volume);
@@ -212,6 +214,11 @@ class FullTextIndexStore : public IndexStore {
   std::string_view tag() const override { return kTagFulltext; }
   Status Add(Slice content, ObjectId oid) override;
   Status Remove(Slice content, ObjectId oid) override;  // Content is ignored: oid keys it.
+  // The lazy indexer's write path. Adds are (content, oid) pairs, tokenized and sorted
+  // outside mu_; under one exclusive mu_ hold the batch is applied with a single
+  // BulkLoad (FullTextIndex::Apply), removes follow, and the root is synced once.
+  Status ApplyBatch(const std::vector<std::pair<std::string, ObjectId>>& adds,
+                    const std::vector<std::pair<std::string, ObjectId>>& removes) override;
   Result<std::vector<ObjectId>> Lookup(Slice term) const override;
   Result<bool> Contains(Slice term, ObjectId oid) const override;
   Result<uint64_t> EstimateCardinality(Slice term) const override;
@@ -222,7 +229,7 @@ class FullTextIndexStore : public IndexStore {
   Result<std::unique_ptr<PostingIterator>> OpenPostings(Slice term,
                                                         PlanStats* stats) const override;
 
-  fulltext::FullTextIndex* engine() { return engine_.get(); }
+  // Read-only: writes that bypassed the store would skip mu_ and SyncRoot.
   const fulltext::FullTextIndex* engine() const { return engine_.get(); }
 
  private:
@@ -237,8 +244,8 @@ class FullTextIndexStore : public IndexStore {
   std::unique_ptr<btree::BTree> tree_;
   std::unique_ptr<fulltext::FullTextIndex> engine_;
   uint64_t last_root_ = 0;
-  // Reader/writer separation for the store API. The LazyIndexer's workers write through
-  // engine() directly and rely on the engine's own serialization instead.
+  // Reader/writer separation for the store API. Every write, the LazyIndexer's batches
+  // included, holds it exclusively; the engine's own mutex nests inside.
   mutable std::shared_mutex mu_;
 };
 

@@ -418,6 +418,27 @@ TEST_F(BTreeTest, BulkLoadOverwritesAndInterleavesWithExistingKeys) {
   }
 }
 
+// A sorted run bulk-loaded between two existing keys fills the pages it splits off,
+// instead of leaving a half-empty page behind every middle split.
+TEST_F(BTreeTest, BulkLoadRunIntoTheMiddleFillsItsPages) {
+  for (int i = 0; i < 2000; i++) {
+    ASSERT_TRUE(tree_.Put("a" + std::to_string(10000 + i), "v").ok());
+    ASSERT_TRUE(tree_.Put("c" + std::to_string(10000 + i), "v").ok());
+  }
+  std::vector<std::pair<std::string, std::string>> run;
+  size_t run_bytes = 0;
+  for (int i = 0; i < 20000; i++) {
+    run.emplace_back("b" + std::to_string(100000 + i), "value");
+    run_bytes += run.back().first.size() + run.back().second.size();
+  }
+  const uint64_t before = alloc_.allocated_bytes();
+  ASSERT_TRUE(tree_.BulkLoad(run).ok());
+  ASSERT_TRUE(tree_.CheckInvariants().ok());
+  const double fill =
+      static_cast<double>(run_bytes) / static_cast<double>(alloc_.allocated_bytes() - before);
+  EXPECT_GT(fill, 0.6);
+}
+
 TEST_F(BTreeTest, BulkLoadOverflowValuesAndScanOrder) {
   std::vector<std::pair<std::string, std::string>> entries;
   Random rng(77);

@@ -1,14 +1,23 @@
-// Tests for the tokenizer, inverted index, BM25 ranking, and lazy background indexing.
+// Tests for the tokenizer, inverted index, BM25 ranking, batched indexing, and lazy
+// background indexing.
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <future>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/btree/btree.h"
 #include "src/common/random.h"
+#include "src/core/filesystem.h"
+#include "src/core/fsck.h"
 #include "src/fulltext/fulltext.h"
 #include "src/fulltext/tokenizer.h"
 #include "src/storage/block_device.h"
@@ -272,11 +281,121 @@ TEST_F(FullTextTest, LargeCorpusConjunction) {
   EXPECT_EQ(got, expect);
 }
 
+// ---------------------------------------------------------------- batches
+
+std::vector<std::pair<std::string, std::string>> ScanAll(const btree::BTree& tree) {
+  std::vector<std::pair<std::string, std::string>> out;
+  EXPECT_TRUE(tree.Scan(Slice(), Slice(), [&](Slice k, Slice v) {
+                    out.emplace_back(k.ToString(), v.ToString());
+                    return true;
+                  }).ok());
+  return out;
+}
+
+void ExpectSameHits(const Result<std::vector<SearchHit>>& a,
+                    const Result<std::vector<SearchHit>>& b, const std::string& what) {
+  ASSERT_EQ(a.ok(), b.ok()) << what;
+  if (!a.ok()) {
+    return;
+  }
+  ASSERT_EQ(a->size(), b->size()) << what;
+  for (size_t i = 0; i < a->size(); i++) {
+    EXPECT_EQ((*a)[i].docid, (*b)[i].docid) << what << " hit " << i;
+    EXPECT_DOUBLE_EQ((*a)[i].score, (*b)[i].score) << what << " hit " << i;
+  }
+}
+
+// One IndexDocuments call must leave exactly the state of the equivalent IndexDocument
+// loop: same keys and values, so the same counts, frequencies and query answers. The
+// batch repeats a docid, re-indexes an already-indexed document, holds a stopword-only
+// document, and is large enough to split the single leaf it starts on.
+TEST(FullTextBatchTest, BatchMatchesPerDocumentLoop) {
+  MemoryBlockDevice dev(kPageSize + kHeap);
+  Pager pager(&dev, 4096);
+  BuddyAllocator alloc(kPageSize, kHeap);
+  btree::BTree batch_tree(&pager, &alloc, 0);
+  btree::BTree loop_tree(&pager, &alloc, 0);
+  FullTextIndex batched(&batch_tree);
+  FullTextIndex looped(&loop_tree);
+
+  const DocumentBatch base = {{"alpha beta gamma", 1}, {"beta delta", 2},
+                              {"gamma epsilon alpha", 3}};
+  for (const auto& [text, docid] : base) {
+    ASSERT_TRUE(batched.IndexDocument(docid, text).ok());
+    ASSERT_TRUE(looped.IndexDocument(docid, text).ok());
+  }
+  ASSERT_EQ(*batch_tree.Height(), 1);
+
+  constexpr int kVocab = 40;
+  Random rng(13);
+  DocumentBatch batch;
+  batch.emplace_back("delta zeta replaced second version", 2);  // Re-index.
+  for (uint64_t d = 100; d < 400; d++) {
+    std::string text = "common";
+    for (int w = 0; w < 20; w++) {
+      text += " w" + std::to_string(rng.Uniform(kVocab));
+    }
+    batch.emplace_back(std::move(text), d);
+  }
+  batch.emplace_back("the and of a", 500);                       // Stopwords only.
+  batch.emplace_back("repeated final words alpha w3 w7", 150);   // Repeats docid 150.
+  batch.emplace_back("beta replaced again", 2);                  // Repeats docid 2.
+
+  ASSERT_TRUE(batched.IndexDocuments(batch).ok());
+  for (const auto& [text, docid] : batch) {
+    ASSERT_TRUE(looped.IndexDocument(docid, text).ok());
+  }
+  EXPECT_GE(*batch_tree.Height(), 2);  // The batch split the leaf it started on.
+  ASSERT_TRUE(batch_tree.CheckInvariants().ok());
+
+  EXPECT_EQ(ScanAll(batch_tree), ScanAll(loop_tree));
+  EXPECT_EQ(*batched.doc_count(), *looped.doc_count());
+  EXPECT_EQ(*batched.doc_count(), 3u + 300u + 1u);
+
+  std::vector<std::string> terms = {"alpha", "beta", "gamma", "delta", "epsilon", "zeta",
+                                    "replaced", "second", "version", "again", "repeated",
+                                    "final", "words", "common"};
+  for (int w = 0; w < kVocab; w++) {
+    terms.push_back("w" + std::to_string(w));
+  }
+  for (const std::string& term : terms) {
+    EXPECT_EQ(*batched.DocumentFrequency(term), *looped.DocumentFrequency(term)) << term;
+    ExpectSameHits(batched.Search({term}), looped.Search({term}), term);
+  }
+  EXPECT_EQ(*batched.DocumentFrequency("second"), 0u);  // Superseded within the batch.
+  ExpectSameHits(batched.Search({"common", "w3", "w7"}), looped.Search({"common", "w3", "w7"}),
+                 "conjunction");
+  ExpectSameHits(batched.SearchPhrase({"repeated", "final", "words"}),
+                 looped.SearchPhrase({"repeated", "final", "words"}), "phrase");
+  ExpectSameHits(batched.SearchPhrase({"common", "w1"}), looped.SearchPhrase({"common", "w1"}),
+                 "leading phrase");
+  auto phrase = batched.SearchPhrase({"repeated", "final", "words"});
+  ASSERT_TRUE(phrase.ok());
+  ASSERT_EQ(phrase->size(), 1u);
+  EXPECT_EQ((*phrase)[0].docid, 150u);
+}
+
+TEST(FullTextBatchTest, EmptyBatchWritesNothing) {
+  MemoryBlockDevice dev(kPageSize + kHeap);
+  Pager pager(&dev, 4096);
+  BuddyAllocator alloc(kPageSize, kHeap);
+  btree::BTree tree(&pager, &alloc, 0);
+  FullTextIndex index(&tree);
+  ASSERT_TRUE(index.IndexDocuments({}).ok());
+  EXPECT_EQ(tree.Count(), 0u);
+  EXPECT_EQ(*index.doc_count(), 0u);
+}
+
 // ---------------------------------------------------------------- lazy indexer
+
+// The apply function a standalone LazyIndexer needs: batches go straight into `index`.
+LazyIndexer::ApplyFn IndexInto(FullTextIndex* index) {
+  return [index](const DocumentBatch& batch) { return index->IndexDocuments(batch); };
+}
 
 TEST_F(FullTextTest, LazyIndexerEventuallyIndexesEverything) {
   {
-    LazyIndexer lazy(&index_, 4);
+    LazyIndexer lazy(IndexInto(&index_), 4);
     for (uint64_t d = 1; d <= 200; d++) {
       lazy.Submit(d, "background document number" + std::to_string(d) + " lazyterm");
     }
@@ -292,7 +411,7 @@ TEST_F(FullTextTest, LazyIndexerEventuallyIndexesEverything) {
 
 TEST_F(FullTextTest, LazyIndexerDestructorDrains) {
   {
-    LazyIndexer lazy(&index_, 2);
+    LazyIndexer lazy(IndexInto(&index_), 2);
     for (uint64_t d = 1; d <= 50; d++) {
       lazy.Submit(d, "destructor drained doc");
     }
@@ -302,7 +421,7 @@ TEST_F(FullTextTest, LazyIndexerDestructorDrains) {
 }
 
 TEST_F(FullTextTest, SearchWhileIndexing) {
-  LazyIndexer lazy(&index_, 4);
+  LazyIndexer lazy(IndexInto(&index_), 4);
   for (uint64_t d = 1; d <= 300; d++) {
     lazy.Submit(d, "concurrent searchable corpus doc" + std::to_string(d));
   }
@@ -315,6 +434,144 @@ TEST_F(FullTextTest, SearchWhileIndexing) {
   auto r = index_.Search({"searchable"});
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->size(), 300u);
+}
+
+// A worker must not take a newer version of a document while another worker's batch
+// still holds an older one: the first batch stalls inside apply, and the document must
+// still end at the version submitted last.
+TEST_F(FullTextTest, LazyIndexerAppliesVersionsInSubmitOrder) {
+  std::promise<void> stalled;
+  std::atomic<bool> first{true};
+  {
+    LazyIndexer lazy(
+        [&](const DocumentBatch& batch) {
+          if (first.exchange(false)) {
+            stalled.set_value();
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+          }
+          return index_.IndexDocuments(batch);
+        },
+        2);
+    lazy.Submit(1, "version v0");
+    stalled.get_future().wait();  // One worker holds v0 in its batch.
+    for (int r = 1; r <= 100; r++) {
+      lazy.Submit(1, "version v" + std::to_string(r));
+    }
+    lazy.Submit(2, "another document");
+    lazy.Drain();
+    EXPECT_TRUE(lazy.first_error().ok());
+  }
+  EXPECT_EQ(*index_.doc_count(), 2u);
+  EXPECT_EQ(*index_.DocumentFrequency("v100"), 1u);
+  EXPECT_EQ(*index_.DocumentFrequency("v0"), 0u);
+}
+
+// Cancel drops the queued versions of a document and returns only once no batch in
+// flight still holds one.
+TEST_F(FullTextTest, LazyIndexerCancelDropsQueuedVersions) {
+  std::promise<void> stalled;
+  std::atomic<bool> first{true};
+  {
+    LazyIndexer lazy(
+        [&](const DocumentBatch& batch) {
+          if (first.exchange(false)) {
+            stalled.set_value();
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+          }
+          return index_.IndexDocuments(batch);
+        },
+        2);
+    lazy.Submit(1, "version v0");
+    stalled.get_future().wait();  // One worker holds v0 in its batch.
+    lazy.Submit(1, "version v1");
+    lazy.Submit(2, "another document");
+    lazy.Cancel(1);
+    EXPECT_EQ(*index_.DocumentFrequency("v0"), 1u);  // The batch in flight finished.
+    ASSERT_TRUE(index_.RemoveDocument(1).ok());
+    lazy.Drain();
+    EXPECT_TRUE(lazy.first_error().ok());
+  }
+  EXPECT_EQ(*index_.doc_count(), 1u);
+  EXPECT_EQ(*index_.DocumentFrequency("v1"), 0u);
+  EXPECT_EQ(*index_.DocumentFrequency("another"), 1u);
+}
+
+// The default FileSystem's two lazy workers apply batches under the full-text store's
+// exclusive lock while readers run SearchText, another thread removes indexed objects,
+// and the writer removes objects whose snapshots are still queued. Run under TSan in CI.
+TEST(FullTextStressTest, LazyBatchesRaceSearchTextAndRemove) {
+  constexpr int kVictims = 100;
+  constexpr int kKeepers = 300;
+  auto created = core::FileSystem::Create(
+      std::make_shared<MemoryBlockDevice>(64 * 1024 * 1024), core::FileSystemOptions{});
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  core::FileSystem* fs = created->get();
+  auto make = [fs](const std::string& text) -> Result<uint64_t> {
+    HFAD_ASSIGN_OR_RETURN(uint64_t oid, fs->Create());
+    HFAD_RETURN_IF_ERROR(fs->Write(oid, 0, text));
+    HFAD_RETURN_IF_ERROR(fs->IndexContent(oid));
+    return oid;
+  };
+  std::vector<uint64_t> victims;
+  for (int i = 0; i < kVictims; i++) {
+    auto oid = make("doomed victim " + std::to_string(i));
+    ASSERT_TRUE(oid.ok());
+    victims.push_back(*oid);
+  }
+  ASSERT_TRUE(fs->WaitForIndexing().ok());
+
+  std::atomic<bool> done{false};
+  std::atomic<int> errors{0};
+  std::thread writer([&] {
+    for (int i = 0; i < kKeepers; i++) {
+      if (!make("keeper stress doc" + std::to_string(i)).ok()) {
+        errors++;
+      }
+      // A ghost is removed while its snapshot may still be queued or in a batch.
+      auto ghost = make("ghost stress doc" + std::to_string(i));
+      if (!ghost.ok() || !fs->Remove(*ghost).ok()) {
+        errors++;
+      }
+    }
+  });
+  std::thread remover([&] {
+    for (uint64_t oid : victims) {
+      if (!fs->Remove(oid).ok()) {
+        errors++;
+      }
+    }
+  });
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; t++) {
+    readers.emplace_back([&] {
+      while (!done.load()) {
+        if (!fs->SearchText({"keeper"}).ok() || !fs->SearchText({"doomed"}).ok()) {
+          errors++;
+        }
+      }
+    });
+  }
+  writer.join();
+  remover.join();
+  done = true;
+  for (auto& r : readers) {
+    r.join();
+  }
+  ASSERT_TRUE(fs->WaitForIndexing().ok());
+  EXPECT_EQ(errors.load(), 0);
+
+  auto keepers = fs->SearchText({"keeper"});
+  ASSERT_TRUE(keepers.ok());
+  EXPECT_EQ(keepers->size(), static_cast<size_t>(kKeepers));
+  auto doomed = fs->SearchText({"doomed"});
+  ASSERT_TRUE(doomed.ok());
+  EXPECT_TRUE(doomed->empty());
+  auto ghosts = fs->SearchText({"ghost"});
+  ASSERT_TRUE(ghosts.ok());
+  EXPECT_TRUE(ghosts->empty());
+  auto report = core::CheckFileSystem(fs);
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->clean()) << report->ToString();
 }
 
 // Property sweep: every indexed doc is findable by each of its distinct terms; removed

@@ -271,6 +271,72 @@ TEST(LazyIndexRecoveryTest, CleanCloseCarriesUnappliedIntentsAcrossReopen) {
   EXPECT_EQ(StrictFind(reopened->get(), "UDEF:carried"), std::vector<ObjectId>{oid});
 }
 
+// Lazy CONTENT indexing on default options (2 full-text workers): what the workers
+// indexed must survive a clean close, i.e. their batches must reach the store's
+// registered root and not just the in-memory tree.
+TEST(LazyIndexRecoveryTest, LazyContentIndexSurvivesCleanReopen) {
+  constexpr int kObjects = 40;
+  auto dev = std::make_shared<MemoryBlockDevice>(kDev);
+  std::vector<ObjectId> oids;
+  {
+    auto fs = MakeFs(dev, FileSystemOptions{});
+    ASSERT_NE(fs, nullptr);
+    for (int i = 0; i < kObjects; i++) {
+      auto oid = fs->Create();
+      ASSERT_TRUE(oid.ok());
+      std::string text = "lazy content uniq" + std::to_string(i) + " shared words";
+      ASSERT_TRUE(fs->Write(*oid, 0, text).ok());
+      ASSERT_TRUE(fs->IndexContent(*oid).ok());
+      oids.push_back(*oid);
+    }
+    ASSERT_TRUE(fs->WaitForIndexing().ok());
+    for (int i = 0; i < kObjects; i++) {
+      auto hits = fs->SearchText({"uniq" + std::to_string(i)});
+      ASSERT_TRUE(hits.ok());
+      ASSERT_EQ(hits->size(), 1u) << "live view, object " << i;
+    }
+  }  // Clean close.
+  auto reopened = FileSystem::Open(dev, FileSystemOptions{});
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  int found = 0;
+  for (int i = 0; i < kObjects; i++) {
+    auto hits = (*reopened)->SearchText({"uniq" + std::to_string(i)});
+    ASSERT_TRUE(hits.ok()) << hits.status().ToString();
+    if (hits->size() == 1 && (*hits)[0].docid == oids[static_cast<size_t>(i)]) {
+      found++;
+    }
+  }
+  EXPECT_EQ(found, kObjects);
+  auto shared = (*reopened)->SearchText({"shared"});
+  ASSERT_TRUE(shared.ok());
+  EXPECT_EQ(shared->size(), static_cast<size_t>(kObjects));
+  auto report = CheckFileSystem(reopened->get());
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->clean()) << report->ToString();
+}
+
+// Removing an object whose content snapshot is still queued: the removal must win,
+// so no later batch re-indexes the removed object.
+TEST(LazyIndexTest, RemoveDropsQueuedContentSnapshots) {
+  constexpr int kObjects = 300;
+  auto fs = MakeFs(std::make_shared<MemoryBlockDevice>(kDev), FileSystemOptions{});
+  ASSERT_NE(fs, nullptr);
+  for (int i = 0; i < kObjects; i++) {
+    auto oid = fs->Create();
+    ASSERT_TRUE(oid.ok());
+    ASSERT_TRUE(fs->Write(*oid, 0, "ghost content " + std::to_string(i)).ok());
+    ASSERT_TRUE(fs->IndexContent(*oid).ok());
+    ASSERT_TRUE(fs->Remove(*oid).ok());
+  }
+  ASSERT_TRUE(fs->WaitForIndexing().ok());
+  auto hits = fs->SearchText({"ghost"});
+  ASSERT_TRUE(hits.ok());
+  EXPECT_TRUE(hits->empty()) << hits->size() << " removed objects still indexed";
+  auto report = CheckFileSystem(fs.get());
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->clean()) << report->ToString();
+}
+
 // ---------------------------------------------------------------- differential
 
 // Randomized seeded workloads applied to a lazy filesystem and an inline-indexed
@@ -374,7 +440,9 @@ TEST(LazyIndexTest, MultiWorkerAppliesPerTagFifoOrder) {
     TagValue name{"UDEF", "mw" + std::to_string(t)};
     ASSERT_TRUE(fs->AddTag(*oid, name).ok());
     ASSERT_TRUE(fs->RemoveTag(*oid, name).ok());
-    if (t % 2 == 0) ASSERT_TRUE(fs->AddTag(*oid, name).ok());
+    if (t % 2 == 0) {
+      ASSERT_TRUE(fs->AddTag(*oid, name).ok());
+    }
   }
   EXPECT_FALSE(fs->PendingIndexIntents().empty());
   fs->tag_indexer_for_testing()->SetPausedForTesting(false);

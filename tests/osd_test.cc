@@ -650,6 +650,13 @@ struct OsdWorkload {
   int ops;
 };
 
+// Gives each case a stable name. Without it gtest prints the struct's raw bytes, padding
+// included, so the name of a case changed from run to run.
+void PrintTo(const OsdWorkload& w, std::ostream* os) {
+  *os << "seed " << w.seed << (w.journaling ? " journaled" : " unjournaled")
+      << (w.group_commit ? " group-commit " : " sync ") << w.ops << " ops";
+}
+
 class OsdPropertyTest : public ::testing::TestWithParam<OsdWorkload> {};
 
 // Random op mix mirrored against in-memory models; final state must match after a clean
