@@ -66,7 +66,6 @@ class SeekChargedDevice : public BlockDevice {
 
 std::unique_ptr<FileSystem> MakeFs(bool lazy_tags) {
   FileSystemOptions options;
-  options.lazy_indexing_threads = 0;
   options.lazy_tag_indexing = lazy_tags;
   // A deep queue: the bench measures acknowledge throughput (the relaxed-mode ingest
   // win), not worker backpressure.
@@ -103,9 +102,7 @@ void BM_TagStormIngest(benchmark::State& state) {
   {
     // Seed with ascending values (fresh pages, no cold reads), then close so the
     // reopened pager starts empty.
-    FileSystemOptions seed_options;
-    seed_options.lazy_indexing_threads = 0;
-    auto seed_fs = std::move(FileSystem::Create(device, seed_options)).value();
+    auto seed_fs = std::move(FileSystem::Create(device)).value();
     std::vector<ObjectId> seed_oids;
     for (int i = 0; i < kStormOids; i++) {
       seed_oids.push_back(*seed_fs->Create());
@@ -123,7 +120,6 @@ void BM_TagStormIngest(benchmark::State& state) {
   }
 
   FileSystemOptions options;
-  options.lazy_indexing_threads = 0;
   options.lazy_tag_indexing = lazy;
   options.tag_intent_queue_capacity = 1 << 16;
   options.osd.pager_capacity_pages = 256;
@@ -140,7 +136,7 @@ void BM_TagStormIngest(benchmark::State& state) {
         fs->AddTag(oid, {"UDEF", PaddedValue(rng.Uniform(kSeedPostings))}).ok());
     i++;
   }
-  (void)fs->WaitForTagIndexing();  // Untimed: relaxed mode's deferred work.
+  (void)fs->WaitForIndexing();  // Untimed: relaxed mode's deferred work.
   state.SetItemsProcessed(state.iterations());
   state.SetLabel(lazy ? "lazy (relaxed ack)" : "inline");
 }
@@ -168,7 +164,7 @@ void BM_TagStormIngestWarm(benchmark::State& state) {
         fs->AddTag(oid, {"UDEF", "storm" + std::to_string(i)}).ok());
     i++;
   }
-  (void)fs->WaitForTagIndexing();  // Untimed: relaxed mode's deferred work.
+  (void)fs->WaitForIndexing();  // Untimed: relaxed mode's deferred work.
   state.SetItemsProcessed(state.iterations());
   state.SetLabel(lazy ? "lazy (relaxed ack)" : "inline");
 }
@@ -193,7 +189,7 @@ void BM_TagStormBatchedIngest(benchmark::State& state) {
     benchmark::DoNotOptimize(batch.Commit().ok());
     i += 16;
   }
-  (void)fs->WaitForTagIndexing();
+  (void)fs->WaitForIndexing();
   state.SetItemsProcessed(state.iterations() * 16);
   state.SetLabel(lazy ? "lazy (relaxed ack)" : "inline");
 }
@@ -210,7 +206,7 @@ void BM_FindVisibility(benchmark::State& state) {
     auto oid = fs->Create();
     (void)fs->AddTag(*oid, {"UDEF", "q" + std::to_string(i % 64)});
   }
-  (void)fs->WaitForTagIndexing();
+  (void)fs->WaitForIndexing();
   hfad::query::FindOptions options;
   options.visibility = strict ? hfad::query::Visibility::kStrict
                               : hfad::query::Visibility::kRelaxed;

@@ -138,30 +138,32 @@ void BM_IngestEager(benchmark::State& state) {
 }
 BENCHMARK(BM_IngestEager);
 
-// Ingest cost, lazy: caller only enqueues; §3.4's background threads do the indexing.
-// items/s here is the *submission* rate the foreground thread observes.
-void BM_IngestLazySubmit(benchmark::State& state) {
+// Ingest cost, batched: the background indexer's write path hands the full-text engine
+// up to 256 documents per FullTextIndex::IndexDocuments call, tokenized and sorted up
+// front and written with one BulkLoad. Arg is the batch size; Arg(1) is the eager loop.
+void BM_IngestBatched(benchmark::State& state) {
   MemoryBlockDevice dev(kPageSize + kHeap);
   Pager pager(&dev, 16384);
   BuddyAllocator alloc(kPageSize, kHeap);
   hfad::btree::BTree tree(&pager, &alloc, 0);
   ft::FullTextIndex index(&tree);
-  ft::LazyIndexer lazy([&index](const ft::DocumentBatch& batch) {
-    return index.IndexDocuments(batch);
-  }, static_cast<int>(state.range(0)));
+  const size_t batch_size = static_cast<size_t>(state.range(0));
   Random rng(7);
   uint64_t d = 0;
+  ft::DocumentBatch batch;
   for (auto _ : state) {
     state.PauseTiming();
-    std::string doc = MakeDoc(&rng, 500, 40, "");
+    batch.clear();
+    for (size_t i = 0; i < batch_size; i++) {
+      batch.emplace_back(MakeDoc(&rng, 500, 40, ""), ++d);
+    }
     state.ResumeTiming();
-    lazy.Submit(++d, std::move(doc));
+    (void)index.IndexDocuments(batch);
   }
-  lazy.Drain();  // Outside the timed region: the cost lazy indexing hides.
-  state.SetItemsProcessed(state.iterations());
-  state.SetLabel(std::to_string(state.range(0)) + " worker(s)");
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(batch_size));
+  state.SetLabel(std::to_string(batch_size) + " document(s) per batch");
 }
-BENCHMARK(BM_IngestLazySubmit)->Arg(1)->Arg(4);
+BENCHMARK(BM_IngestBatched)->Arg(1)->Arg(256);
 
 }  // namespace
 

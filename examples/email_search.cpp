@@ -57,9 +57,7 @@ const Message kMailbox[] = {
 
 int main() {
   auto device = std::make_shared<MemoryBlockDevice>(64ull << 20);
-  FileSystemOptions options;
-  options.lazy_indexing_threads = 0;
-  auto fs_or = FileSystem::Create(device, options);
+  auto fs_or = FileSystem::Create(device);
   Check(fs_or.status(), "create volume");
   auto& fs = *fs_or;
 

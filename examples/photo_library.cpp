@@ -37,9 +37,7 @@ const char* kYears[] = {"2007", "2008", "2009"};
 
 int main() {
   auto device = std::make_shared<MemoryBlockDevice>(256ull << 20);
-  FileSystemOptions options;
-  options.lazy_indexing_threads = 2;  // Captions are indexed in the background (§3.4).
-  auto fs_or = FileSystem::Create(device, options);
+  auto fs_or = FileSystem::Create(device);
   Check(fs_or.status(), "create volume");
   auto& fs = *fs_or;
 

@@ -39,9 +39,7 @@ void Check(const hfad::Status& s, const char* what) {
 
 int main() {
   auto device = std::make_shared<MemoryBlockDevice>(64ull << 20);
-  FileSystemOptions options;
-  options.lazy_indexing_threads = 0;
-  auto fs_or = FileSystem::Create(device, options);
+  auto fs_or = FileSystem::Create(device);
   Check(fs_or.status(), "create volume");
   auto& fs = *fs_or;
   auto pfs_or = PosixFs::Mount(fs.get());

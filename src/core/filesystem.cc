@@ -18,6 +18,8 @@ namespace {
 // Foreign (namespace) journal record ops.
 constexpr uint8_t kNsAddTag = 1;
 constexpr uint8_t kNsRemoveTag = 2;
+// Content intents: oid only. Replay re-reads the object (index) or strips it (unindex),
+// sets or clears its FULLTEXT marker, and hands the store half to the indexer queue.
 constexpr uint8_t kNsIndexContent = 3;
 constexpr uint8_t kNsUnindexContent = 4;
 // One record framing a whole NamespaceBatch: varint op count, then per op one
@@ -65,6 +67,15 @@ TagValue DecodeNameSuffix(Slice rest) {
     tv.value = std::string(rest.data() + sep + 1, rest.size() - sep - 1);
   }
   return tv;
+}
+
+// The reverse-map key an intent maintains. A content intent's value is the document,
+// so its key is the object's FULLTEXT marker ("content indexed"), whatever the text.
+std::string IntentReverseKey(ObjectId oid, const TagValue& name) {
+  if (name.tag == index::kTagFulltext) {
+    return ReverseKey(oid, TagValue{name.tag, ""});
+  }
+  return ReverseKey(oid, name);
 }
 
 ObjectId OidFromKey(Slice key) {
@@ -123,37 +134,21 @@ FileSystem::FileSystem(std::unique_ptr<osd::OsdCluster> cluster,
                                                           reverse_[shard].root);
   }
   query_engine_ = std::make_unique<query::QueryEngine>(indexes_.get());
-  if (options_.lazy_indexing_threads > 0) {
-    auto* ft = static_cast<index::FullTextIndexStore*>(indexes_->store(index::kTagFulltext));
-    lazy_indexer_ = std::make_unique<fulltext::LazyIndexer>(
-        [ft](const fulltext::DocumentBatch& batch) { return ft->ApplyBatch(batch, {}); },
-        options_.lazy_indexing_threads);
-  }
-  if (options_.lazy_tag_indexing) {
-    tag_indexer_ = std::make_unique<LazyTagIndexer>(indexes_.get(),
-                                                    options_.tag_intent_queue_capacity,
-                                                    /*batch_limit=*/256,
-                                                    options_.tag_indexer_workers);
-  }
+  tag_indexer_ = std::make_unique<LazyTagIndexer>(indexes_.get(),
+                                                  options_.tag_intent_queue_capacity);
 }
 
 FileSystem::~FileSystem() {
-  // Drain background indexing before the indexes are torn down.
-  lazy_indexer_.reset();
-  if (tag_indexer_ != nullptr) {
-    // Apply what we can (Drain returns immediately while a test holds the queue
-    // paused)...
-    (void)tag_indexer_->Drain();
-  }
+  // Apply what we can (Drain returns immediately while a test holds the queue
+  // paused)...
+  (void)tag_indexer_->Drain();
   // ...then checkpoint: anything still unapplied rides the pending set via the
   // checkpoint provider and is re-seeded on the next Open.
   (void)Checkpoint();
-  if (tag_indexer_ != nullptr) {
-    // The OSD's own close-time checkpoint must not call back into a dead indexer; the
-    // pending set it would have persisted is exactly what the line above persisted.
-    cluster_->SetUnappliedForeignProvider(nullptr);
-    tag_indexer_.reset();
-  }
+  // The OSD's own close-time checkpoint must not call back into a dead indexer; the
+  // pending set it would have persisted is exactly what the line above persisted.
+  cluster_->SetUnappliedForeignProvider(nullptr);
+  tag_indexer_.reset();
 }
 
 namespace {
@@ -204,9 +199,9 @@ Result<std::unique_ptr<FileSystem>> FileSystem::Open(
     std::vector<std::shared_ptr<BlockDevice>> devices, FileSystemOptions options) {
   HFAD_RETURN_IF_ERROR(ValidateShardCount(devices.size(), options.shard_count));
   // Namespace records replay through a lazily-mounted index collection on the metadata
-  // shard; the collection is then adopted by the FileSystem. Index intents (lazy mode's
-  // journaled-but-possibly-unapplied tag mutations) accumulate here: their reverse-map
-  // half replays inline, their forward half is handed to AdoptRecoveredIntents after
+  // shard; the collection is then adopted by the FileSystem. Index intents (journaled-
+  // but-possibly-unapplied tag and content mutations) accumulate here: their reverse-map
+  // half replays inline, their store half is handed to AdoptRecoveredIntents after
   // construction.
   auto recovered = std::make_shared<std::vector<BatchOp>>();
   std::unique_ptr<index::IndexCollection> replay_indexes;
@@ -278,9 +273,9 @@ Status FileSystem::ReplayTagOp(osd::Osd* meta, index::IndexCollection* indexes,
   return meta->SetNamedRoot(root_name, reverse.root());
 }
 
-// Replay the reverse-map half of one index intent. The forward posting update is NOT
-// applied here — the live lazy write path applied only the reverse map inline, so
-// replay reproduces exactly that state and leaves the forward half to the queue.
+// Replay the reverse-map half of one index intent. The store update is NOT applied
+// here — the live write path applied only the reverse map inline, so replay reproduces
+// exactly that state and leaves the store half to the queue.
 Status FileSystem::ReplayIntentReverse(osd::Osd* meta, index::IndexCollection* indexes,
                                        uint8_t op, ObjectId oid, const TagValue& name) {
   if (indexes->store(name.tag) == nullptr) {
@@ -290,9 +285,9 @@ Status FileSystem::ReplayIntentReverse(osd::Osd* meta, index::IndexCollection* i
   btree::BTree reverse(meta->pager(), meta->allocator(),
                        meta->GetNamedRoot(root_name).value_or(0));
   if (op == kNsAddTag) {
-    HFAD_RETURN_IF_ERROR(reverse.Put(ReverseKey(oid, name), Slice()));
+    HFAD_RETURN_IF_ERROR(reverse.Put(IntentReverseKey(oid, name), Slice()));
   } else {
-    Status s = reverse.Delete(ReverseKey(oid, name));
+    Status s = reverse.Delete(IntentReverseKey(oid, name));
     if (!s.ok() && !s.IsNotFound()) {
       return s;
     }
@@ -337,11 +332,10 @@ Status FileSystem::ApplyNamespaceRecord(osd::Osd* meta, osd::Osd* data,
         continue;
       }
       TagValue name{tag.ToString(), value.ToString()};
-      if (op == kNsIndexIntent && recovered != nullptr) {
+      if (op == kNsIndexIntent) {
         HFAD_RETURN_IF_ERROR(ReplayIntentReverse(meta, indexes, sub_op, oid, name));
-        recovered->push_back(BatchOp{sub_op, oid, name});
+        recovered->push_back(BatchOp{sub_op, oid, std::move(name)});
       } else {
-        // kNsBatch, or an intent with nowhere to defer to: apply fully inline.
         HFAD_RETURN_IF_ERROR(ReplayTagOp(meta, indexes, sub_op, oid, name));
       }
     }
@@ -367,15 +361,17 @@ Status FileSystem::ApplyNamespaceRecord(osd::Osd* meta, osd::Osd* data,
         return Status::Ok();  // Object deleted later in the log.
       }
       HFAD_RETURN_IF_ERROR(size.status());
-      std::string content;
-      HFAD_RETURN_IF_ERROR(data->Read(oid, 0, *size, &content));
-      auto* ft = static_cast<index::FullTextIndexStore*>(indexes->store(index::kTagFulltext));
-      return ft->Add(content, oid);
+      TagValue name{std::string(index::kTagFulltext), ""};
+      HFAD_RETURN_IF_ERROR(data->Read(oid, 0, *size, &name.value));
+      HFAD_RETURN_IF_ERROR(ReplayIntentReverse(meta, indexes, kNsAddTag, oid, name));
+      recovered->push_back(BatchOp{kNsAddTag, oid, std::move(name)});
+      return Status::Ok();
     }
     case kNsUnindexContent: {
-      auto* ft = static_cast<index::FullTextIndexStore*>(indexes->store(index::kTagFulltext));
-      Status s = ft->Remove(Slice(), oid);
-      return s.IsNotFound() ? Status::Ok() : s;
+      TagValue name{std::string(index::kTagFulltext), ""};
+      HFAD_RETURN_IF_ERROR(ReplayIntentReverse(meta, indexes, kNsRemoveTag, oid, name));
+      recovered->push_back(BatchOp{kNsRemoveTag, oid, std::move(name)});
+      return Status::Ok();
     }
     default:
       return Status::Corruption("unknown namespace record op " + std::to_string(op));
@@ -383,6 +379,10 @@ Status FileSystem::ApplyNamespaceRecord(osd::Osd* meta, osd::Osd* data,
 }
 
 std::string FileSystem::EncodeIntentRecord(const std::vector<BatchOp>& ops) {
+  if (ops.size() == 1 && ops[0].name.tag == index::kTagFulltext) {
+    return EncodeOidRecord(ops[0].op == kNsAddTag ? kNsIndexContent : kNsUnindexContent,
+                           ops[0].oid);
+  }
   std::string rec;
   rec.push_back(static_cast<char>(kNsIndexIntent));
   PutVarint64(&rec, ops.size());
@@ -396,70 +396,55 @@ std::string FileSystem::EncodeIntentRecord(const std::vector<BatchOp>& ops) {
 }
 
 Status FileSystem::AdoptRecoveredIntents(std::vector<BatchOp> recovered) {
-  if (tag_indexer_ != nullptr) {
-    std::vector<LazyTagIndexer::Op> iops;
-    iops.reserve(recovered.size());
-    for (const BatchOp& op : recovered) {
-      iops.push_back(LazyTagIndexer::Op{op.op == kNsAddTag, op.oid, op.name});
+  std::vector<LazyTagIndexer::Op> iops;
+  std::vector<std::string> tags;  // Recovered tags other than FULLTEXT.
+  iops.reserve(recovered.size());
+  for (BatchOp& op : recovered) {
+    if (op.name.tag != index::kTagFulltext) {
+      tags.push_back(op.name.tag);
     }
-    tag_indexer_->Seed(std::move(iops));
-    // Live provider: every checkpoint persists whatever the worker has not applied yet
-    // (queue + in-flight), so acknowledged intents survive the journal reset that ends
-    // the checkpoint. Re-applying an in-flight op after a crash is idempotent. Each
-    // shard persists only the intents whose oid it owns — the shard whose journal
-    // acknowledged them.
-    LazyTagIndexer* indexer = tag_indexer_.get();
-    osd::OsdCluster* cluster = cluster_.get();
-    cluster_->SetUnappliedForeignProvider([indexer, cluster](size_t shard) {
-      std::vector<std::string> payloads;
-      for (const LazyTagIndexer::Op& op : indexer->SnapshotUnapplied()) {
-        if (cluster->ShardOf(op.oid) != shard) {
-          continue;
-        }
-        payloads.push_back(EncodeIntentRecord(
-            {BatchOp{op.add ? kNsAddTag : kNsRemoveTag, op.oid, op.name}}));
+    iops.push_back(LazyTagIndexer::Op{op.op == kNsAddTag, op.oid, std::move(op.name)});
+  }
+  tag_indexer_->Seed(std::move(iops));
+  // Live provider: every checkpoint persists whatever the workers have not applied yet
+  // (queue + in-flight), so acknowledged intents survive the journal reset that ends
+  // the checkpoint. Re-applying an in-flight op after a crash is idempotent. Each
+  // shard persists only the intents whose oid it owns — the shard whose journal
+  // acknowledged them.
+  LazyTagIndexer* indexer = tag_indexer_.get();
+  osd::OsdCluster* cluster = cluster_.get();
+  cluster_->SetUnappliedForeignProvider([indexer, cluster](size_t shard) {
+    std::vector<std::string> payloads;
+    for (LazyTagIndexer::Op& op : indexer->SnapshotUnapplied()) {
+      if (cluster->ShardOf(op.oid) != shard) {
+        continue;
       }
-      return payloads;
-    });
+      payloads.push_back(EncodeIntentRecord(
+          {BatchOp{op.add ? kNsAddTag : kNsRemoveTag, op.oid, std::move(op.name)}}));
+    }
+    return payloads;
+  });
+  if (options_.lazy_tag_indexing || tags.empty()) {
     return Status::Ok();
   }
-  // Inline mode adopting a (possibly lazily-written) volume: the deferred forward
-  // updates are applied right now. Adds for objects deleted later in the log are
-  // skipped; removes always run (NotFound-tolerant) so a pre-crash applied add cannot
-  // leave an orphaned posting.
-  for (const BatchOp& op : recovered) {
-    if (op.op == kNsAddTag && !cluster_->Exists(op.oid)) {
-      continue;
-    }
-    index::IndexStore* store = indexes_->store(op.name.tag);
-    if (store == nullptr) {
-      return Status::Corruption("recovered intent for unknown store '" + op.name.tag + "'");
-    }
-    Status s = op.op == kNsAddTag ? store->Add(op.name.value, op.oid)
-                                  : store->Remove(op.name.value, op.oid);
-    if (!s.ok() && !s.IsNotFound()) {
-      return s;
-    }
-  }
-  // Empty provider (not null) so the next checkpoint clears the persisted pending set
-  // now that everything in it has been applied.
-  cluster_->SetUnappliedForeignProvider([](size_t) { return std::vector<std::string>(); });
-  return Status::Ok();
+  // Inline tag indexing reads and writes the forward stores directly, so a lazily
+  // written volume's recovered tag intents must be applied before Open returns.
+  std::sort(tags.begin(), tags.end());
+  tags.erase(std::unique(tags.begin(), tags.end()), tags.end());
+  return tag_indexer_->WaitForTags(tags);
 }
 
-Status FileSystem::JournalAndEnqueueIntents(const std::vector<BatchOp>& ops,
-                                            uint64_t* token_out) {
-  *token_out = 0;
+Status FileSystem::CommitIntents(const std::vector<BatchOp>& ops) {
   std::vector<LazyTagIndexer::Op> iops;
   iops.reserve(ops.size());
   for (const BatchOp& op : ops) {
     iops.push_back(LazyTagIndexer::Op{op.op == kNsAddTag, op.oid, op.name});
   }
-  // Reserve BEFORE the journal append: ReserveSlots may block on the worker, and the
-  // worker needs the volume lock this append is about to take shared (a full queue
-  // under the volume lock would deadlock against a waiting checkpoint).
-  tag_indexer_->ReserveSlots(iops.size());
+  // Reserve BEFORE the journal append: ReserveSlots may block on the workers, and they
+  // need the volume lock this append is about to take shared (a full queue under the
+  // volume lock would deadlock against a waiting checkpoint).
   const size_t n = iops.size();
+  tag_indexer_->ReserveSlots(n);
   bool multi_shard = false;
   if (cluster_->shard_count() > 1) {
     const size_t first = cluster_->ShardOf(ops[0].oid);
@@ -470,33 +455,59 @@ Status FileSystem::JournalAndEnqueueIntents(const std::vector<BatchOp>& ops,
       }
     }
   }
+  uint64_t token = 0;
   if (!multi_shard) {
     // The enqueue rides the append's own volume-lock hold: a checkpoint either sees
     // the record in the journal AND the ops in the queue, or neither — the invariant
     // the pending-set persistence depends on.
     Status s = cluster_->AppendForeign(
         ops[0].oid, EncodeIntentRecord(ops),
-        [&] { tag_indexer_->EnqueueReserved(std::move(iops)); }, token_out);
+        [&] { tag_indexer_->EnqueueReserved(std::move(iops)); }, &token);
     if (!s.ok()) {
       tag_indexer_->ReleaseSlots(n);
+      return s;
     }
-    return s;
+  } else {
+    // Cross-shard: the intent commits via the prepare/commit protocol, then enqueues.
+    // The gap between commit and enqueue is covered by the cluster's retention lists
+    // (the token is unmarked, so every participant's checkpoint persists the record).
+    std::vector<ObjectId> oids;
+    oids.reserve(ops.size());
+    for (const BatchOp& op : ops) {
+      oids.push_back(op.oid);
+    }
+    auto committed = cluster_->CommitForeignBatch(oids, EncodeIntentRecord(ops));
+    if (!committed.ok()) {
+      tag_indexer_->ReleaseSlots(n);
+      return committed.status();
+    }
+    tag_indexer_->EnqueueReserved(std::move(iops));
+    token = *committed;
   }
-  // Cross-shard: the intent commits via the prepare/commit protocol, then enqueues.
-  // The gap between commit and enqueue is covered by the cluster's retention lists
-  // (the token is unmarked, so every participant's checkpoint persists the record).
-  std::vector<ObjectId> oids;
-  oids.reserve(ops.size());
+  // The reverse-map half, inline: naming state (Tags/HasName/Remove) and the content
+  // markers stay authoritative while the stores catch up in the background. Each
+  // touched shard's root is synced once.
+  auto hold = osd_->SharedVolumeHold();
+  std::vector<size_t> shards;
   for (const BatchOp& op : ops) {
-    oids.push_back(op.oid);
+    size_t shard = TagShardOf(op.oid);
+    shards.push_back(shard);
+    if (op.op == kNsAddTag) {
+      HFAD_RETURN_IF_ERROR(
+          reverse_[shard].tree->Put(IntentReverseKey(op.oid, op.name), Slice()));
+    } else {
+      Status s = reverse_[shard].tree->Delete(IntentReverseKey(op.oid, op.name));
+      if (!s.ok() && !s.IsNotFound()) {
+        return s;
+      }
+    }
   }
-  auto token = cluster_->CommitForeignBatch(oids, EncodeIntentRecord(ops));
-  if (!token.ok()) {
-    tag_indexer_->ReleaseSlots(n);
-    return token.status();
+  std::sort(shards.begin(), shards.end());
+  shards.erase(std::unique(shards.begin(), shards.end()), shards.end());
+  for (size_t shard : shards) {
+    HFAD_RETURN_IF_ERROR(SyncReverseRoot(shard));
   }
-  tag_indexer_->EnqueueReserved(std::move(iops));
-  *token_out = *token;
+  cluster_->MarkForeignApplied(token);
   return Status::Ok();
 }
 
@@ -511,11 +522,11 @@ Result<query::FindPage> FileSystem::Find(const query::Expr& expr,
                                          const query::FindOptions& options) const {
   metrics::ScopedLatency latency(metrics::Hist::kFind);
   trace::OpScope op("find");
-  // Strict visibility under lazy tag indexing: wait out the applied-sequence horizon
-  // of every tag the query touches before planning, so any mutation acknowledged
-  // before this call is in the postings the plan reads. Relaxed skips straight to the
-  // current postings.
-  if (tag_indexer_ != nullptr && options.visibility == query::Visibility::kStrict) {
+  // Strict visibility: wait out the applied-sequence horizon of every tag the query
+  // touches before planning, so any mutation acknowledged before this call (content
+  // always; tags under lazy tag indexing) is in the postings the plan reads. Relaxed
+  // skips straight to the current postings.
+  if (options.visibility == query::Visibility::kStrict) {
     std::vector<std::string> tags;
     CollectQueryTags(expr, &tags);
     std::sort(tags.begin(), tags.end());
@@ -650,21 +661,12 @@ Status FileSystem::Remove(ObjectId oid) {
   for (const TagValue& name : names) {
     HFAD_RETURN_IF_ERROR(RemoveTag(oid, name));
   }
-  // Strip any full-text postings (journaled so replay stays in sync).
+  // Strip any full-text postings through the indexer queue: the oid's ops share one
+  // worker, so the strip applies after any snapshot of it still queued.
   {
     auto lock = tag_mu_.LockExclusive(oid);
-    uint64_t token = 0;
     HFAD_RETURN_IF_ERROR(
-        cluster_->AppendForeign(oid, EncodeOidRecord(kNsUnindexContent, oid), &token));
-    if (lazy_indexer_ != nullptr) {
-      lazy_indexer_->Cancel(oid);  // A queued snapshot must not re-index it afterwards.
-    }
-    auto* ft = static_cast<index::FullTextIndexStore*>(indexes_->store(index::kTagFulltext));
-    Status s = ft->Remove(Slice(), oid);
-    if (!s.ok() && !s.IsNotFound()) {
-      return s;
-    }
-    cluster_->MarkForeignApplied(token);
+        CommitIntents({BatchOp{kNsRemoveTag, oid, {std::string(index::kTagFulltext), ""}}}));
   }
   return cluster_->DeleteObject(oid);
 }
@@ -675,7 +677,7 @@ Status FileSystem::SyncReverseRoot(size_t shard) {
   ReverseShard& rs = reverse_[shard];
   if (rs.tree->root() != rs.root) {
     rs.root = rs.tree->root();
-    HFAD_RETURN_IF_ERROR(osd_->SetNamedRoot(ReverseRootName(shard), rs.root));
+    HFAD_RETURN_IF_ERROR(osd_->SetNamedRootHeld(ReverseRootName(shard), rs.root));
   }
   return Status::Ok();
 }
@@ -684,6 +686,7 @@ Status FileSystem::AddTagApply(ObjectId oid, const TagValue& name) {
   index::IndexStore* store = indexes_->store(name.tag);
   HFAD_RETURN_IF_ERROR(store->Add(name.value, oid));
   size_t shard = TagShardOf(oid);
+  auto hold = osd_->SharedVolumeHold();
   HFAD_RETURN_IF_ERROR(reverse_[shard].tree->Put(ReverseKey(oid, name), Slice()));
   return SyncReverseRoot(shard);
 }
@@ -692,6 +695,7 @@ Status FileSystem::RemoveTagApply(ObjectId oid, const TagValue& name) {
   index::IndexStore* store = indexes_->store(name.tag);
   HFAD_RETURN_IF_ERROR(store->Remove(name.value, oid));
   size_t shard = TagShardOf(oid);
+  auto hold = osd_->SharedVolumeHold();
   Status s = reverse_[shard].tree->Delete(ReverseKey(oid, name));
   if (!s.ok() && !s.IsNotFound()) {
     return s;
@@ -718,18 +722,10 @@ Status FileSystem::AddTag(ObjectId oid, const TagValue& name) {
 
 Status FileSystem::AddTagValidated(ObjectId oid, const TagValue& name) {
   auto lock = tag_mu_.LockExclusive(oid);
-  uint64_t token = 0;
-  if (tag_indexer_ != nullptr) {
-    // Lazy: journal the intent + enqueue the forward update, then update only the
-    // reverse map inline — naming state (Tags/HasName/Remove) stays authoritative
-    // while the posting btrees catch up in the background.
-    HFAD_RETURN_IF_ERROR(JournalAndEnqueueIntents({BatchOp{kNsAddTag, oid, name}}, &token));
-    size_t shard = TagShardOf(oid);
-    HFAD_RETURN_IF_ERROR(reverse_[shard].tree->Put(ReverseKey(oid, name), Slice()));
-    HFAD_RETURN_IF_ERROR(SyncReverseRoot(shard));
-    cluster_->MarkForeignApplied(token);
-    return Status::Ok();
+  if (options_.lazy_tag_indexing) {
+    return CommitIntents({BatchOp{kNsAddTag, oid, name}});
   }
+  uint64_t token = 0;
   if (osd_->journaling_enabled()) {
     HFAD_RETURN_IF_ERROR(
         cluster_->AppendForeign(oid, EncodeTagRecord(kNsAddTag, oid, name), &token));
@@ -742,6 +738,9 @@ Status FileSystem::AddTagValidated(ObjectId oid, const TagValue& name) {
 Status FileSystem::RemoveTag(ObjectId oid, const TagValue& name) {
   metrics::ScopedLatency latency(metrics::Hist::kRemoveTag);
   trace::OpScope op("remove_tag");
+  if (!TaggableTag(name.tag)) {
+    return Status::InvalidArgument("tag '" + name.tag + "' cannot be removed manually");
+  }
   if (indexes_->store(name.tag) == nullptr) {
     return Status::NotFound("no index store for tag '" + name.tag + "'");
   }
@@ -751,19 +750,10 @@ Status FileSystem::RemoveTag(ObjectId oid, const TagValue& name) {
     return Status::NotFound("object " + std::to_string(oid) + " has no name " + name.tag +
                             ":" + name.value);
   }
-  uint64_t token = 0;
-  if (tag_indexer_ != nullptr) {
-    HFAD_RETURN_IF_ERROR(
-        JournalAndEnqueueIntents({BatchOp{kNsRemoveTag, oid, name}}, &token));
-    size_t shard = TagShardOf(oid);
-    Status s = reverse_[shard].tree->Delete(ReverseKey(oid, name));
-    if (!s.ok() && !s.IsNotFound()) {
-      return s;
-    }
-    HFAD_RETURN_IF_ERROR(SyncReverseRoot(shard));
-    cluster_->MarkForeignApplied(token);
-    return Status::Ok();
+  if (options_.lazy_tag_indexing) {
+    return CommitIntents({BatchOp{kNsRemoveTag, oid, name}});
   }
+  uint64_t token = 0;
   if (osd_->journaling_enabled()) {
     HFAD_RETURN_IF_ERROR(
         cluster_->AppendForeign(oid, EncodeTagRecord(kNsRemoveTag, oid, name), &token));
@@ -799,33 +789,9 @@ Status FileSystem::CommitBatch(const std::vector<BatchOp>& ops) {
                               op.name.tag + ":" + op.name.value);
     }
   }
-  if (tag_indexer_ != nullptr) {
-    // Lazy: ONE intent record + one enqueue for the whole batch, reverse map inline,
-    // each touched shard's root synced once. A batch spanning multiple owner shards
-    // commits via the cluster's prepare/commit protocol inside
-    // JournalAndEnqueueIntents.
-    uint64_t token = 0;
-    HFAD_RETURN_IF_ERROR(JournalAndEnqueueIntents(ops, &token));
-    std::vector<size_t> shards;
-    for (const BatchOp& op : ops) {
-      size_t shard = TagShardOf(op.oid);
-      shards.push_back(shard);
-      if (op.op == kNsAddTag) {
-        HFAD_RETURN_IF_ERROR(reverse_[shard].tree->Put(ReverseKey(op.oid, op.name), Slice()));
-      } else {
-        Status s = reverse_[shard].tree->Delete(ReverseKey(op.oid, op.name));
-        if (!s.ok() && !s.IsNotFound()) {
-          return s;
-        }
-      }
-    }
-    std::sort(shards.begin(), shards.end());
-    shards.erase(std::unique(shards.begin(), shards.end()), shards.end());
-    for (size_t shard : shards) {
-      HFAD_RETURN_IF_ERROR(SyncReverseRoot(shard));
-    }
-    cluster_->MarkForeignApplied(token);
-    return Status::Ok();
+  if (options_.lazy_tag_indexing) {
+    // ONE intent record + one enqueue for the whole batch (see CommitIntents).
+    return CommitIntents(ops);
   }
   uint64_t token = 0;
   if (osd_->journaling_enabled()) {
@@ -876,8 +842,11 @@ Result<std::vector<TagValue>> FileSystem::Tags(ObjectId oid) const {
   std::string prefix = OidBytes(oid);
   HFAD_RETURN_IF_ERROR(reverse_[TagShardOf(oid)].tree->ScanPrefix(
       prefix, [&](Slice key, Slice) {
-        out.push_back(
-            DecodeNameSuffix(Slice(key.data() + prefix.size(), key.size() - prefix.size())));
+        TagValue name =
+            DecodeNameSuffix(Slice(key.data() + prefix.size(), key.size() - prefix.size()));
+        if (name.tag != index::kTagFulltext) {  // The content marker is not a name.
+          out.push_back(std::move(name));
+        }
         return true;
       }));
   return out;
@@ -921,61 +890,28 @@ Status FileSystem::ScanAllNames(
   return Status::Ok();
 }
 
-Status FileSystem::IndexContentNow(ObjectId oid) {
-  HFAD_ASSIGN_OR_RETURN(uint64_t size, cluster_->Size(oid));
-  std::string content;
-  HFAD_RETURN_IF_ERROR(cluster_->Read(oid, 0, size, &content));
-  auto* ft = static_cast<index::FullTextIndexStore*>(indexes_->store(index::kTagFulltext));
-  return ft->Add(content, oid);
-}
-
 Status FileSystem::IndexContent(ObjectId oid) {
   if (!cluster_->Exists(oid)) {
     return Status::NotFound("no object " + std::to_string(oid));
   }
   auto lock = tag_mu_.LockExclusive(oid);
-  uint64_t token = 0;
-  HFAD_RETURN_IF_ERROR(
-      cluster_->AppendForeign(oid, EncodeOidRecord(kNsIndexContent, oid), &token));
-  if (lazy_indexer_ == nullptr) {
-    HFAD_RETURN_IF_ERROR(IndexContentNow(oid));
-    cluster_->MarkForeignApplied(token);
-    return Status::Ok();
-  }
-  // Snapshot the content now so later writes do not race the background worker; the
-  // worker indexes exactly these bytes.
+  // Snapshot the content now so later writes do not race the background workers; they
+  // index exactly these bytes.
   HFAD_ASSIGN_OR_RETURN(uint64_t size, cluster_->Size(oid));
-  std::string content;
-  HFAD_RETURN_IF_ERROR(cluster_->Read(oid, 0, size, &content));
-  lazy_indexer_->Submit(oid, std::move(content));
-  // Same crash contract as the single-volume lazy path: the record's redo (a content
-  // re-read) is durable until here; the submitted snapshot itself lives only in memory.
-  cluster_->MarkForeignApplied(token);
-  return Status::Ok();
+  TagValue document{std::string(index::kTagFulltext), ""};
+  HFAD_RETURN_IF_ERROR(cluster_->Read(oid, 0, size, &document.value));
+  return CommitIntents({BatchOp{kNsAddTag, oid, std::move(document)}});
 }
 
-Status FileSystem::WaitForIndexing() {
-  if (lazy_indexer_ == nullptr) {
-    return Status::Ok();
-  }
-  lazy_indexer_->Drain();
-  return lazy_indexer_->first_error();
-}
-
-Status FileSystem::WaitForTagIndexing() {
-  if (tag_indexer_ == nullptr) {
-    return Status::Ok();
-  }
-  return tag_indexer_->Drain();
-}
+Status FileSystem::WaitForIndexing() { return tag_indexer_->Drain(); }
 
 std::vector<std::pair<ObjectId, TagValue>> FileSystem::PendingIndexIntents() const {
   std::vector<std::pair<ObjectId, TagValue>> out;
-  if (tag_indexer_ == nullptr) {
-    return out;
-  }
-  for (const LazyTagIndexer::Op& op : tag_indexer_->SnapshotUnapplied()) {
-    out.emplace_back(op.oid, op.name);
+  for (LazyTagIndexer::Op& op : tag_indexer_->SnapshotUnapplied()) {
+    if (op.name.tag == index::kTagFulltext) {
+      op.name.value.clear();  // Reported as the content marker, not the document.
+    }
+    out.emplace_back(op.oid, std::move(op.name));
   }
   return out;
 }
@@ -1062,8 +998,7 @@ std::string FileSystem::DumpMetrics() const {
   w.Key("io_completed").Value(io_completed);
   w.Key("io_in_flight").Value(io_in_flight);
   w.Key("io_max_queue_depth").Value(io_max_qd);
-  w.Key("indexer_queue_depth")
-      .Value(static_cast<uint64_t>(tag_indexer_ != nullptr ? tag_indexer_->PendingCount() : 0));
+  w.Key("indexer_queue_depth").Value(static_cast<uint64_t>(tag_indexer_->PendingCount()));
   w.Key("checkpointer_state").Value(static_cast<int64_t>(osd_->checkpointer_state()));
   w.Key("object_count").Value(cluster_->object_count());
   w.Key("shard_count").Value(static_cast<uint64_t>(cluster_->shard_count()));
@@ -1180,6 +1115,9 @@ Status NamespaceBatch::AddTag(ObjectId oid, const TagValue& name) {
 }
 
 Status NamespaceBatch::RemoveTag(ObjectId oid, const TagValue& name) {
+  if (!TaggableTag(name.tag)) {
+    return Status::InvalidArgument("tag '" + name.tag + "' cannot be removed manually");
+  }
   if (fs_->indexes()->store(name.tag) == nullptr) {
     return Status::NotFound("no index store for tag '" + name.tag + "'");
   }

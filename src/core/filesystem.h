@@ -17,10 +17,11 @@
 // object store recover together, in order, after a crash.
 //
 // Content indexing follows §3.4: "we use background threads to perform lazy full-text
-// indexing." IndexContent(oid) snapshots the object's bytes and either indexes them
-// synchronously (lazy_indexing_threads == 0) or queues them for the background workers,
-// which apply up to LazyIndexer::kBatchLimit documents at a time through the full-text
-// store's ApplyBatch; WaitForIndexing() drains the queue.
+// indexing." IndexContent(oid) snapshots the object's bytes and journals an index intent
+// whose op carries the snapshot to the FileSystem's one background indexer
+// (LazyTagIndexer), which applies batches of them through the full-text store's
+// ApplyBatch. Strict Find and SearchText wait for every acknowledged IndexContent;
+// WaitForIndexing() drains the whole queue.
 //
 // Open question #2 ("extend the notion of a current directory to be an iterative
 // refinement of a search") is implemented by SearchCursor: a stack of refinements whose
@@ -52,20 +53,17 @@ using index::TagValue;
 
 struct FileSystemOptions {
   osd::OsdOptions osd;
-  // Background full-text indexing workers; 0 indexes synchronously in IndexContent.
-  int lazy_indexing_threads = 2;
   // Lazy TAG indexing (§3.4 generalized to the namespace itself): tag mutations journal
   // an intent, update the reverse map inline, and return; a background worker applies
   // the forward posting-store updates in sorted bulk batches. Readers choose per query
   // between strict (wait for the horizon) and relaxed (current postings) visibility via
   // query::FindOptions::visibility. Acknowledged intents survive crashes: recovery
   // rebuilds the unapplied queue from the journal and the checkpoint's pending set.
+  // Content indexing is always lazy, whatever this says.
   bool lazy_tag_indexing = false;
-  // Bound on acknowledged-but-unapplied tag intents; mutators block past it.
+  // Bound on acknowledged-but-unapplied index intents (tags and content); mutators
+  // block past it.
   size_t tag_intent_queue_capacity = 4096;
-  // Tag-indexer application threads. Tags are hash-partitioned across workers, so
-  // per-tag FIFO order (and strict visibility) holds at any count.
-  size_t tag_indexer_workers = 1;
   // Number of OSD shards (ROADMAP item 1). 1 (the default) is today's single-volume
   // behavior, byte-compatible with existing volumes; 0 means one shard per device
   // passed to the multi-device Create/Open. Any other value must match the device
@@ -134,8 +132,8 @@ class FileSystem {
   struct SearchTextOptions {
     // Maximum hits returned; 0 means unlimited.
     size_t limit = 0;
-    // Read visibility of the candidate query under lazy tag indexing (see
-    // query::Visibility); ignored with inline indexing.
+    // Read visibility of the candidate query (see query::Visibility): strict sees every
+    // acknowledged IndexContent, relaxed only the documents applied so far.
     query::Visibility visibility = query::Visibility::kStrict;
   };
 
@@ -160,7 +158,8 @@ class FileSystem {
   // Create an object carrying the given initial names.
   Result<ObjectId> Create(const std::vector<TagValue>& names = {});
 
-  // Remove an object: every name, any full-text postings, then the object itself.
+  // Remove an object: every name, then the object itself. Its full-text postings are
+  // stripped by the background indexer, after any snapshot of it still queued.
   Status Remove(ObjectId oid);
 
   // ---- Tag management ----
@@ -170,33 +169,34 @@ class FileSystem {
   Status AddTag(ObjectId oid, const TagValue& name);
   Status RemoveTag(ObjectId oid, const TagValue& name);
 
-  // Every name the object carries, sorted by (tag, value).
+  // Every name the object carries, sorted by (tag, value). The reserved FULLTEXT
+  // marker that IndexContent records is not a name and is never returned.
   Result<std::vector<TagValue>> Tags(ObjectId oid) const;
 
   // True when the reverse map records this exact name on the object (fsck support).
   bool HasName(ObjectId oid, const TagValue& name) const;
 
-  // Visit every (object, name) pair on the volume, in oid order (fsck support).
+  // Visit every (object, name) pair on the volume, in oid order (fsck support). An
+  // object whose content was indexed also yields the marker name {FULLTEXT, ""}.
   Status ScanAllNames(const std::function<bool(ObjectId, const TagValue&)>& fn) const;
 
-  // (Re)index the object's current bytes for full-text search. Queued to the background
-  // workers when lazy indexing is enabled; WaitForIndexing() makes results visible.
+  // (Re)index the object's current bytes for full-text search: snapshot them, journal
+  // the intent, and queue the snapshot for the background indexer. Strict Find and
+  // SearchText see it; relaxed readers once it is applied.
   Status IndexContent(ObjectId oid);
 
-  // Drain the lazy indexer (no-op when synchronous). Returns the first indexing error.
+  // Drain the background indexer: wait until every intent (tag or content)
+  // acknowledged before the call is applied to the stores. Returns the indexer's
+  // sticky first application error.
   Status WaitForIndexing();
 
-  // Drain the lazy TAG indexer: wait until every tag intent acknowledged before the
-  // call is applied to the posting stores. No-op with inline indexing. Returns the
-  // indexer's sticky first application error.
-  Status WaitForTagIndexing();
-
-  // Tag intents journaled/acknowledged but not yet applied to the posting stores
-  // (queue + in-flight), for fsck's orphan suppression. Empty with inline indexing.
+  // Intents journaled/acknowledged but not yet applied to the stores (queue +
+  // in-flight), for fsck's orphan suppression. A content intent is reported as the
+  // marker name {FULLTEXT, ""}.
   std::vector<std::pair<ObjectId, TagValue>> PendingIndexIntents() const;
 
-  // True when this filesystem defers forward posting updates to the background worker.
-  bool lazy_tag_indexing() const { return tag_indexer_ != nullptr; }
+  // True when tag mutations defer forward posting updates to the background indexer.
+  bool lazy_tag_indexing() const { return options_.lazy_tag_indexing; }
 
   // Crash/concurrency test support: pin the indexer queue in a chosen drain state.
   LazyTagIndexer* tag_indexer_for_testing() { return tag_indexer_.get(); }
@@ -244,6 +244,8 @@ class FileSystem {
              const FileSystemOptions& options);
 
   // One staged namespace mutation (NamespaceBatch's unit; also the journal sub-record).
+  // An op on the FULLTEXT tag is a content intent: add carries the document snapshot as
+  // its value, remove strips the document.
   struct BatchOp {
     uint8_t op;  // kNsAddTag or kNsRemoveTag (filesystem.cc record constants).
     ObjectId oid;
@@ -261,13 +263,13 @@ class FileSystem {
   // record came from (object content reads for kNsIndexContent) — the same Osd on a
   // single-shard filesystem. When `filter_to_shard` is set the payload is a cross-shard
   // batch redone on one participant: only sub-ops whose oid is owned by `shard` apply.
-  // Index-intent records (lazy mode) replay their reverse-map half inline and append
-  // the deferred forward half to `recovered` (applied fully inline when null).
+  // Index intents (lazy tag records and content records) replay their reverse-map half
+  // inline and append the deferred store half to `recovered`.
   static Status ApplyNamespaceRecord(osd::Osd* meta, osd::Osd* data,
                                      const osd::OsdCluster* cluster, size_t shard,
                                      bool filter_to_shard,
                                      index::IndexCollection* indexes, Slice payload,
-                                     std::vector<BatchOp>* recovered = nullptr);
+                                     std::vector<BatchOp>* recovered);
 
   // Replay one add/remove association (single-tag records and batch sub-records). All
   // namespace state lives on `meta`.
@@ -279,28 +281,29 @@ class FileSystem {
   static Status ReplayIntentReverse(osd::Osd* meta, index::IndexCollection* indexes,
                                     uint8_t op, ObjectId oid, const TagValue& name);
 
-  // Serialize ops as one kNsIndexIntent journal payload.
+  // Serialize ops as one journal payload: a content intent (one FULLTEXT op) as an
+  // oid-only kNsIndexContent/kNsUnindexContent record, whose redo re-reads the object;
+  // tag intents as one kNsIndexIntent record.
   static std::string EncodeIntentRecord(const std::vector<BatchOp>& ops);
 
-  // Post-recovery hand-off: seed the background queue (lazy) or apply the deferred
-  // forward updates inline (non-lazy), then install the live checkpoint provider.
+  // Post-recovery hand-off: seed the background queue, then install the live
+  // checkpoint provider. With inline tag indexing, waits until the recovered tag
+  // intents are applied, so the forward stores are current when Open returns.
   Status AdoptRecoveredIntents(std::vector<BatchOp> recovered);
 
-  // Lazy-mode body of AddTagValidated/RemoveTag/CommitBatch: reserve queue slots, then
-  // journal ONE intent record — on the owning shard with the enqueue riding the same
-  // journal-lock hold when all ops share an owner, or via the cluster's cross-shard
-  // prepare/commit protocol (the retention lists carry the records over the enqueue
-  // gap) when they do not. Caller holds every involved tag shard, applies the
-  // reverse-map half afterwards, and passes `token_out` to MarkForeignApplied once it
-  // has.
-  Status JournalAndEnqueueIntents(const std::vector<BatchOp>& ops, uint64_t* token_out);
+  // The deferred write path (content intents, and tag mutations under lazy tag
+  // indexing): reserve queue slots, journal ONE intent record — on the owning shard
+  // with the enqueue riding the same journal-lock hold when all ops share an owner, or
+  // via the cluster's cross-shard prepare/commit protocol (the retention lists carry
+  // the records over the enqueue gap) when they do not — then apply the reverse-map
+  // half inline and mark the record applied. Caller holds every involved tag shard.
+  Status CommitIntents(const std::vector<BatchOp>& ops);
 
   // AddTag minus the tag/store/existence validation, for callers (Create) that have
   // already established those invariants.
   Status AddTagValidated(ObjectId oid, const TagValue& name);
   Status AddTagApply(ObjectId oid, const TagValue& name);
   Status RemoveTagApply(ObjectId oid, const TagValue& name);
-  Status IndexContentNow(ObjectId oid);
 
   // Tag state is striped (see docs/CONCURRENCY.md): shard i of tag_mu_ guards both the
   // serialization of tag mutations for oids in shard i and that shard's slice of the
@@ -319,7 +322,8 @@ class FileSystem {
     uint64_t root = 0;
   };
 
-  // Persist shard's reverse-tree root if it moved. Caller holds the shard exclusively.
+  // Persist shard's reverse-tree root if it moved. Caller holds the shard exclusively
+  // and the metadata volume's SharedVolumeHold across the tree write and this sync.
   Status SyncReverseRoot(size_t shard);
 
   const FileSystemOptions options_;
@@ -327,8 +331,7 @@ class FileSystem {
   osd::Osd* osd_ = nullptr;  // cluster_->meta(): the shard namespace state lives on.
   std::unique_ptr<index::IndexCollection> indexes_;
   std::unique_ptr<query::QueryEngine> query_engine_;
-  std::unique_ptr<fulltext::LazyIndexer> lazy_indexer_;
-  std::unique_ptr<LazyTagIndexer> tag_indexer_;  // Null unless lazy_tag_indexing.
+  std::unique_ptr<LazyTagIndexer> tag_indexer_;  // The one background indexer.
 
   mutable ShardedMutex<kTagShards> tag_mu_;
   std::array<ReverseShard, kTagShards> reverse_;

@@ -67,16 +67,23 @@ Result<FsckReport> CheckFileSystem(FileSystem* fs) {
     }
   }
 
-  // Under lazy tag indexing the forward postings legitimately trail the reverse map by
-  // exactly the acknowledged-but-unapplied intents. Snapshot that set ONCE, before
-  // phases 2 and 3 probe anything: the background worker may apply ops mid-scan, and a
-  // pre-phase snapshot can only over-suppress a transiently-stale pair, never report a
-  // phantom orphan. Pairs with any pending intent (add or remove) are skipped in both
-  // directions.
+  // The stores legitimately trail the reverse map by exactly the acknowledged-but-
+  // unapplied intents (content always, tags under lazy tag indexing). Snapshot that set
+  // ONCE, before the phases below probe anything: the background workers may apply ops
+  // mid-scan, and a pre-phase snapshot can only over-suppress a transiently-stale pair,
+  // never report a phantom orphan. Pairs with any pending intent (add or remove) are
+  // skipped in both directions; a content intent is keyed as the marker name.
   std::set<std::string> pending;
   for (const auto& [oid, name] : fs->PendingIndexIntents()) {
     pending.insert(PendingKey(oid, name));
   }
+  const TagValue content_marker{std::string(index::kTagFulltext), ""};
+  auto* ft = static_cast<index::FullTextIndexStore*>(indexes->store(index::kTagFulltext));
+  std::set<ObjectId> documents;
+  HFAD_RETURN_IF_ERROR(ft->engine()->ScanDocuments([&](uint64_t docid) {
+    documents.insert(docid);
+    return true;
+  }));
 
   // 2. Reverse map -> forward indexes: no dangling names.
   HFAD_RETURN_IF_ERROR(fs->ScanAllNames([&](ObjectId oid, const TagValue& name) {
@@ -84,6 +91,15 @@ Result<FsckReport> CheckFileSystem(FileSystem* fs) {
     if (!cluster->Exists(oid)) {
       report.problems.push_back("name " + name.tag + ":" + name.value +
                                 " references dead object " + std::to_string(oid));
+      return true;
+    }
+    if (name.tag == index::kTagFulltext) {
+      // The content marker: IndexContent was acknowledged, so the document must be in
+      // the full-text engine.
+      if (documents.count(oid) == 0 && pending.count(PendingKey(oid, content_marker)) == 0) {
+        report.problems.push_back("object " + std::to_string(oid) +
+                                  " has indexed content missing from the full-text index");
+      }
       return true;
     }
     const index::IndexStore* store = indexes->store(name.tag);
@@ -134,16 +150,15 @@ Result<FsckReport> CheckFileSystem(FileSystem* fs) {
     }
   }
 
-  // 4. Full-text postings reference live objects.
-  auto* ft = static_cast<index::FullTextIndexStore*>(indexes->store(index::kTagFulltext));
-  HFAD_RETURN_IF_ERROR(ft->engine()->ScanDocuments([&](uint64_t docid) {
+  // 4. Full-text postings reference live objects (a pending strip is not a problem:
+  // Remove deletes the object before the indexer strips its document).
+  for (ObjectId docid : documents) {
     report.postings_checked++;
-    if (!cluster->Exists(docid)) {
+    if (!cluster->Exists(docid) && pending.count(PendingKey(docid, content_marker)) == 0) {
       report.problems.push_back("full-text index contains dead object " +
                                 std::to_string(docid));
     }
-    return true;
-  }));
+  }
 
   // 5. Pages the scrubber quarantined are lost until something rewrites them; surface
   // each one so the operator knows which shard/offset needs attention.

@@ -10,7 +10,8 @@
 //   2. every reverse-map name has a matching forward-index entry (no dangling names);
 //   3. every forward-index entry for the standard stores has a matching reverse entry
 //      (no orphaned index entries) and names a live object;
-//   4. full-text postings reference live objects.
+//   4. every object whose content was indexed (its FULLTEXT marker in the reverse map)
+//      is in the full-text index, and full-text postings reference live objects.
 //
 // Read-only: fsck reports; it does not repair. Run it on a quiescent FileSystem (no
 // concurrent mutations).

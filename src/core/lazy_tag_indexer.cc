@@ -10,16 +10,12 @@ namespace hfad {
 namespace core {
 
 LazyTagIndexer::LazyTagIndexer(index::IndexCollection* indexes, size_t queue_capacity,
-                               size_t batch_limit, size_t worker_count)
+                               size_t batch_limit)
     : indexes_(indexes),
       capacity_(queue_capacity == 0 ? 1 : queue_capacity),
-      batch_limit_(batch_limit == 0 ? 1 : batch_limit),
-      worker_count_(worker_count == 0 ? 1 : worker_count),
-      queues_(worker_count_),
-      in_flights_(worker_count_) {
-  workers_.reserve(worker_count_);
-  for (size_t i = 0; i < worker_count_; ++i) {
-    workers_.emplace_back([this, i] { WorkerMain(i); });
+      batch_limit_(batch_limit == 0 ? 1 : batch_limit) {
+  for (Worker& w : workers_) {
+    w.thread = std::thread([this, &w] { WorkerMain(&w); });
   }
 }
 
@@ -31,22 +27,20 @@ LazyTagIndexer::~LazyTagIndexer() {
   work_cv_.notify_all();
   slots_cv_.notify_all();
   applied_cv_.notify_all();
-  for (auto& w : workers_) w.join();
+  for (Worker& w : workers_) w.thread.join();
 }
 
-size_t LazyTagIndexer::UsedLocked() const {
-  size_t used = reserved_;
-  for (size_t i = 0; i < worker_count_; ++i) {
-    used += queues_[i].size() + in_flights_[i].size();
-  }
-  return used;
+size_t LazyTagIndexer::PendingLocked() const {
+  size_t n = 0;
+  for (const Worker& w : workers_) n += w.queue.size() + w.in_flight.size();
+  return n;
 }
 
 void LazyTagIndexer::ReserveSlots(size_t n) {
   std::unique_lock<std::mutex> lock(mu_);
   slots_cv_.wait(lock, [&] {
     if (shutdown_) return true;
-    size_t used = UsedLocked();
+    size_t used = reserved_ + PendingLocked();
     // Oversized batches (n > capacity_) are admitted against an empty queue rather
     // than blocking forever.
     return used + n <= capacity_ || used == 0;
@@ -62,16 +56,20 @@ void LazyTagIndexer::ReleaseSlots(size_t n) {
   slots_cv_.notify_all();
 }
 
+void LazyTagIndexer::PushLocked(std::vector<Op> ops) {
+  for (auto& op : ops) {
+    Worker& w = workers_[op.oid % kWorkers];
+    ++enqueued_total_;
+    ++w.enqueued_by_tag[op.name.tag];
+    w.queue.push_back(std::move(op));
+  }
+}
+
 void LazyTagIndexer::EnqueueReserved(std::vector<Op> ops) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     reserved_ -= std::min(reserved_, ops.size());
-    for (auto& op : ops) {
-      ++enqueued_total_;
-      ++enqueued_by_tag_[op.name.tag];
-      size_t w = WorkerFor(op.name.tag);
-      queues_[w].push_back(std::move(op));
-    }
+    PushLocked(std::move(ops));
   }
   work_cv_.notify_all();
 }
@@ -79,12 +77,7 @@ void LazyTagIndexer::EnqueueReserved(std::vector<Op> ops) {
 void LazyTagIndexer::Seed(std::vector<Op> ops) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (auto& op : ops) {
-      ++enqueued_total_;
-      ++enqueued_by_tag_[op.name.tag];
-      size_t w = WorkerFor(op.name.tag);
-      queues_[w].push_back(std::move(op));
-    }
+    PushLocked(std::move(ops));
   }
   work_cv_.notify_all();
 }
@@ -92,17 +85,23 @@ void LazyTagIndexer::Seed(std::vector<Op> ops) {
 Status LazyTagIndexer::WaitForTags(const std::vector<std::string>& tags) {
   std::unique_lock<std::mutex> lock(mu_);
   // Snapshot the horizon first: ops enqueued after this call need not be waited on.
-  std::vector<std::pair<std::string, uint64_t>> targets;
-  targets.reserve(tags.size());
-  for (const auto& tag : tags) {
-    auto it = enqueued_by_tag_.find(tag);
-    if (it != enqueued_by_tag_.end() && it->second > 0) targets.emplace_back(tag, it->second);
+  struct Target {
+    const Worker* worker;
+    const std::string* tag;
+    uint64_t enqueued;
+  };
+  std::vector<Target> targets;
+  for (const Worker& w : workers_) {
+    for (const auto& tag : tags) {
+      auto it = w.enqueued_by_tag.find(tag);
+      if (it != w.enqueued_by_tag.end()) targets.push_back(Target{&w, &tag, it->second});
+    }
   }
   applied_cv_.wait(lock, [&] {
     if (shutdown_) return true;
-    for (const auto& t : targets) {
-      auto it = applied_by_tag_.find(t.first);
-      if (it == applied_by_tag_.end() || it->second < t.second) return false;
+    for (const Target& t : targets) {
+      auto it = t.worker->applied_by_tag.find(*t.tag);
+      if (it == t.worker->applied_by_tag.end() || it->second < t.enqueued) return false;
     }
     return true;
   });
@@ -121,26 +120,17 @@ std::vector<LazyTagIndexer::Op> LazyTagIndexer::SnapshotUnapplied() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<Op> out;
   // Per worker: in-flight first, then queued — within a worker that is enqueue
-  // order, and per-tag order only depends on one worker (tags are partitioned).
-  for (size_t i = 0; i < worker_count_; ++i) {
-    out.insert(out.end(), in_flights_[i].begin(), in_flights_[i].end());
-    out.insert(out.end(), queues_[i].begin(), queues_[i].end());
+  // order, and per-object order only depends on one worker (oids are partitioned).
+  for (const Worker& w : workers_) {
+    out.insert(out.end(), w.in_flight.begin(), w.in_flight.end());
+    out.insert(out.end(), w.queue.begin(), w.queue.end());
   }
   return out;
 }
 
 size_t LazyTagIndexer::PendingCount() const {
   std::lock_guard<std::mutex> lock(mu_);
-  size_t n = 0;
-  for (size_t i = 0; i < worker_count_; ++i) {
-    n += queues_[i].size() + in_flights_[i].size();
-  }
-  return n;
-}
-
-Status LazyTagIndexer::first_error() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return first_error_;
+  return PendingLocked();
 }
 
 void LazyTagIndexer::SetPausedForTesting(bool paused) {
@@ -152,16 +142,17 @@ void LazyTagIndexer::SetPausedForTesting(bool paused) {
   applied_cv_.notify_all();
 }
 
-void LazyTagIndexer::WorkerMain(size_t worker) {
-  std::deque<Op>& queue = queues_[worker];
-  std::vector<Op>& in_flight = in_flights_[worker];
+void LazyTagIndexer::WorkerMain(Worker* worker) {
+  std::deque<Op>& queue = worker->queue;
+  std::vector<Op>& in_flight = worker->in_flight;
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     work_cv_.wait(lock, [&] { return shutdown_ || (!paused_ && !queue.empty()); });
     if (shutdown_) return;
 
     size_t take = std::min(batch_limit_, queue.size());
-    in_flight.assign(queue.begin(), queue.begin() + static_cast<ptrdiff_t>(take));
+    in_flight.assign(std::make_move_iterator(queue.begin()),
+                     std::make_move_iterator(queue.begin() + static_cast<ptrdiff_t>(take)));
     queue.erase(queue.begin(), queue.begin() + static_cast<ptrdiff_t>(take));
 
     lock.unlock();
@@ -172,7 +163,7 @@ void LazyTagIndexer::WorkerMain(size_t worker) {
     // readers must surface it rather than block forever.
     for (const auto& op : in_flight) {
       ++applied_total_;
-      ++applied_by_tag_[op.name.tag];
+      ++worker->applied_by_tag[op.name.tag];
     }
     in_flight.clear();
     if (!s.ok() && first_error_.ok()) first_error_ = s;
@@ -186,15 +177,14 @@ Status LazyTagIndexer::ApplyOps(const std::vector<Op>& ops) {
   metrics::ScopedLatency latency(metrics::Hist::kIndexerApply);
   trace::OpScope op_scope("indexer_apply");
   // Collapse the FIFO batch to the LAST op per (tag, value, oid) — earlier ops are
-  // superseded (add-then-remove nets to remove against a NotFound-tolerant store).
-  // std::map keeps per-tag groups together and values pre-sorted for ApplyBatch's
-  // bulk path.
-  struct Final {
-    bool add;
-  };
-  std::map<std::string, std::map<std::pair<std::string, index::ObjectId>, Final>> by_tag;
+  // superseded (add-then-remove nets to remove against a NotFound-tolerant store). A
+  // FULLTEXT value is the whole document, so there the key is (tag, oid): the last
+  // version submitted wins. std::map keeps per-tag groups together and values
+  // pre-sorted for ApplyBatch's bulk path.
+  std::map<std::string, std::map<std::pair<std::string, index::ObjectId>, const Op*>> by_tag;
   for (const auto& op : ops) {
-    by_tag[op.name.tag][{op.name.value, op.oid}] = Final{op.add};
+    const bool document = op.name.tag == index::kTagFulltext;
+    by_tag[op.name.tag][{document ? std::string() : op.name.value, op.oid}] = &op;
   }
 
   Status first;
@@ -210,11 +200,8 @@ Status LazyTagIndexer::ApplyOps(const std::vector<Op>& ops) {
     std::vector<std::pair<std::string, index::ObjectId>> adds;
     std::vector<std::pair<std::string, index::ObjectId>> removes;
     for (const auto& entry : tag_group.second) {
-      if (entry.second.add) {
-        adds.push_back(entry.first);
-      } else {
-        removes.push_back(entry.first);
-      }
+      const Op& op = *entry.second;
+      (op.add ? adds : removes).emplace_back(op.name.value, op.oid);
     }
     Status s = store->ApplyBatch(adds, removes);
     if (!s.ok() && first.ok()) first = s;

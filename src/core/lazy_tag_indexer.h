@@ -1,19 +1,24 @@
-// Background application of tag mutations (§3.4: indexing is a cache over naming state
-// and need not be synchronous with mutation).
+// Background application of index mutations (§3.4: "we use background threads to
+// perform lazy full-text indexing", generalized to the namespace itself: indexing is a
+// cache over naming state and need not be synchronous with mutation).
 //
-// In lazy mode the FileSystem journals a tag intent, updates the reverse map inline
-// (naming state stays authoritative), enqueues the forward posting-store update here,
-// and returns. Worker threads (configurable count, default 1) drain per-worker queues
-// into the posting btrees in sorted bulk batches (IndexStore::ApplyBatch ->
-// Btree::BulkLoad). Visibility is explicit: strict readers wait on per-tag
-// applied-sequence horizons (the PR 5 committed_seq_ idiom, one watermark pair per
-// tag), relaxed readers take the postings as they are.
+// Every FileSystem owns one of these. Content indexing always runs through it: an op
+// on the FULLTEXT store whose value is the document snapshot (add) or empty (strip).
+// Under lazy tag indexing, tag mutations do too. The FileSystem journals each intent,
+// updates the reverse map inline (naming state stays authoritative), enqueues the
+// forward store update here, and returns. kWorkers threads drain per-worker queues
+// into the stores in sorted bulk batches (IndexStore::ApplyBatch -> BTree::BulkLoad),
+// so two full-text batches tokenize and apply concurrently. Visibility is explicit:
+// strict readers wait on per-tag applied-sequence horizons, relaxed readers take the
+// postings as they are.
 //
-// With multiple workers, tags are partitioned across workers by hash: every op for a
-// given tag lands in the same worker's FIFO queue, so per-tag application order still
-// equals per-tag enqueue order and the horizon counters stay correct — the exact
-// invariant that makes strict visibility a counter comparison. Distinct tags may
-// apply out of mutual order, which was never guaranteed.
+// Ops are routed to workers by oid: every op for a given object lands in the same
+// worker's FIFO queue, so per-object application order equals enqueue order (a strip
+// is never overtaken by an older snapshot). A tag's ops may spread over both workers,
+// so horizons are kept per (worker, tag): a strict reader snapshots each worker's
+// enqueued count for its tags and waits until that worker's applied count reaches it.
+// Each queue is FIFO and batches are queue prefixes, so a counter pair per (worker,
+// tag) is an exact watermark.
 //
 // Crash safety is owned by the layers around this class: intents are journaled before
 // they are enqueued (Osd::AppendForeign with the enqueue callback under the same volume
@@ -27,6 +32,7 @@
 #ifndef HFAD_SRC_CORE_LAZY_TAG_INDEXER_H_
 #define HFAD_SRC_CORE_LAZY_TAG_INDEXER_H_
 
+#include <array>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -45,19 +51,22 @@ namespace core {
 
 class LazyTagIndexer {
  public:
-  // One deferred posting-store mutation.
+  // One deferred store mutation. For FULLTEXT, `name.value` is the document text to
+  // index (add) or empty (remove the document).
   struct Op {
     bool add = true;  // true = add association, false = remove.
     index::ObjectId oid = 0;
     index::TagValue name;
   };
 
+  // Application threads. Two keep full-text tokenization off one core.
+  static constexpr size_t kWorkers = 2;
+
   // `indexes` must outlive this object. `queue_capacity` bounds acknowledged-but-
   // unapplied intents across all workers (mutators block in ReserveSlots beyond it);
-  // `batch_limit` caps ops taken per worker application round; `worker_count` sets
-  // how many application threads partition the tag space (see file comment).
+  // `batch_limit` caps ops taken per worker application round.
   LazyTagIndexer(index::IndexCollection* indexes, size_t queue_capacity,
-                 size_t batch_limit = 256, size_t worker_count = 1);
+                 size_t batch_limit = 256);
   ~LazyTagIndexer();
 
   LazyTagIndexer(const LazyTagIndexer&) = delete;
@@ -89,61 +98,55 @@ class LazyTagIndexer {
   // paused (test support) — a paused queue would never drain.
   Status Drain();
 
-  // Queued + in-flight ops in queue order — the checkpoint provider's and fsck's view
-  // of what the posting stores may still be missing.
+  // Queued + in-flight ops, in queue order per worker — the checkpoint provider's and
+  // fsck's view of what the stores may still be missing.
   std::vector<Op> SnapshotUnapplied() const;
 
   size_t PendingCount() const;
 
-  // First store-application error, sticky (applied horizons still advance past a
-  // failed batch so strict readers surface the error instead of hanging).
-  Status first_error() const;
-
-  // Test support: freeze the worker between batches so crash tests can pin the queue
+  // Test support: freeze the workers between batches so crash tests can pin the queue
   // in a partially drained state.
   void SetPausedForTesting(bool paused);
 
  private:
-  void WorkerMain(size_t worker);
+  // One application thread's FIFO queue, batch in flight and horizons. All of it is
+  // guarded by the single mu_.
+  struct Worker {
+    std::deque<Op> queue;     // Enqueued, not picked up.
+    std::vector<Op> in_flight;  // Application in progress.
+    // How many ops for each tag were ever enqueued to / applied by this worker.
+    std::unordered_map<std::string, uint64_t> enqueued_by_tag;
+    std::unordered_map<std::string, uint64_t> applied_by_tag;
+    std::thread thread;
+  };
 
-  // Apply one popped batch to the posting stores. Called with mu_ NOT held.
+  void WorkerMain(Worker* worker);
+
+  // Append ops to their workers' queues. Caller holds mu_.
+  void PushLocked(std::vector<Op> ops);
+
+  // Apply one popped batch to the stores. Called with mu_ NOT held.
   Status ApplyOps(const std::vector<Op>& ops);
 
-  // Which worker owns a tag. All state stays under the single mu_; only the
-  // queues are per-worker, which is what the FIFO horizon invariant needs.
-  size_t WorkerFor(const std::string& tag) const {
-    return std::hash<std::string>{}(tag) % worker_count_;
-  }
-
   // Ops enqueued or in application, summed across workers. Caller holds mu_.
-  size_t UsedLocked() const;
+  size_t PendingLocked() const;
 
   index::IndexCollection* const indexes_;
   const size_t capacity_;
   const size_t batch_limit_;
-  const size_t worker_count_;
 
   mutable std::mutex mu_;
   std::condition_variable slots_cv_;    // Reservers waiting for queue room.
   std::condition_variable work_cv_;     // Workers waiting for ops / unpause.
   std::condition_variable applied_cv_;  // Strict readers waiting on horizons.
 
-  std::vector<std::deque<Op>> queues_;       // Per worker: enqueued, not picked up.
-  std::vector<std::vector<Op>> in_flights_;  // Per worker: application in progress.
-  size_t reserved_ = 0;          // Slots reserved but not yet enqueued.
+  std::array<Worker, kWorkers> workers_;
+  size_t reserved_ = 0;  // Slots reserved but not yet enqueued.
   bool paused_ = false;
   bool shutdown_ = false;
   Status first_error_;
-
-  // Per-tag horizons: how many ops for this tag were ever enqueued / applied. The
-  // queue is FIFO and batches are queue prefixes, so per-tag application order equals
-  // per-tag enqueue order and a counter pair is a correct watermark.
-  std::unordered_map<std::string, uint64_t> enqueued_by_tag_;
-  std::unordered_map<std::string, uint64_t> applied_by_tag_;
   uint64_t enqueued_total_ = 0;
   uint64_t applied_total_ = 0;
-
-  std::vector<std::thread> workers_;
 };
 
 }  // namespace core

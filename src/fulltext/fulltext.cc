@@ -507,98 +507,5 @@ Result<uint64_t> FullTextIndex::DocumentFrequency(const std::string& term) const
   return df;
 }
 
-// ---------------------------------------------------------------- LazyIndexer
-
-LazyIndexer::LazyIndexer(ApplyFn apply, int num_threads) : apply_(std::move(apply)) {
-  workers_.reserve(static_cast<size_t>(num_threads));
-  for (int i = 0; i < num_threads; i++) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
-LazyIndexer::~LazyIndexer() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shutdown_ = true;
-  }
-  cv_.notify_all();
-  for (auto& w : workers_) {
-    w.join();
-  }
-}
-
-void LazyIndexer::Submit(uint64_t docid, std::string text) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.emplace_back(std::move(text), docid);
-  }
-  cv_.notify_one();
-}
-
-void LazyIndexer::Drain() {
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
-}
-
-void LazyIndexer::Cancel(uint64_t docid) {
-  std::unique_lock<std::mutex> lock(mu_);
-  queue_.erase(std::remove_if(queue_.begin(), queue_.end(),
-                              [docid](const auto& doc) { return doc.second == docid; }),
-               queue_.end());
-  done_cv_.notify_all();  // Drain may be waiting on the entries just dropped...
-  cv_.notify_all();       // ...and workers on a front that is gone.
-  done_cv_.wait(lock, [this, docid] { return busy_docids_.count(docid) == 0; });
-}
-
-size_t LazyIndexer::backlog() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size() + in_flight_;
-}
-
-Status LazyIndexer::first_error() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return first_error_;
-}
-
-bool LazyIndexer::FrontIsFree() const {
-  return !queue_.empty() && busy_docids_.count(queue_.front().second) == 0;
-}
-
-void LazyIndexer::WorkerLoop() {
-  for (;;) {
-    DocumentBatch batch;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return FrontIsFree() || (shutdown_ && queue_.empty()); });
-      if (!FrontIsFree()) {
-        return;  // Shutdown with nothing left: workers drain the queue first.
-      }
-      // Stop at the first document another worker's batch holds a version of, so that
-      // this batch cannot overtake it.
-      while (batch.size() < kBatchLimit && FrontIsFree()) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-      for (const auto& doc : batch) {
-        busy_docids_.insert(doc.second);
-      }
-      in_flight_ += batch.size();
-    }
-    Status s = apply_(batch);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!s.ok() && first_error_.ok()) {
-        first_error_ = s;
-      }
-      for (const auto& doc : batch) {
-        busy_docids_.erase(doc.second);
-      }
-      in_flight_ -= batch.size();
-    }
-    done_cv_.notify_all();
-    cv_.notify_all();  // Freed docids may unblock the queue's front.
-  }
-}
-
 }  // namespace fulltext
 }  // namespace hfad

@@ -17,24 +17,20 @@
 // batch and lays out its postings and per-document entries in key order without any
 // lock; Apply then removes earlier versions, fills in one aggregated df per distinct
 // term and one corpus-stats entry, and writes the whole batch with a single
-// BTree::BulkLoad. IndexDocument is the one-element batch. The LazyIndexer feeds
-// batches from background threads, mirroring the paper's "background threads to
-// perform lazy full-text indexing" (§3.4).
+// BTree::BulkLoad. IndexDocument is the one-element batch. In a FileSystem the batches
+// come from its background indexer (src/core/lazy_tag_indexer.h) through
+// index::FullTextIndexStore::ApplyBatch, the paper's "background threads to perform
+// lazy full-text indexing" (§3.4).
 //
 // Thread safety: Search is safe concurrently with indexing; Apply/Remove are internally
 // serialized (tokenization happens outside the lock, in Prepare).
 #ifndef HFAD_SRC_FULLTEXT_FULLTEXT_H_
 #define HFAD_SRC_FULLTEXT_FULLTEXT_H_
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -154,58 +150,6 @@ class FullTextIndex {
   btree::BTree* const tree_;
   const Bm25Params params_;
   mutable std::mutex write_mu_;  // Serializes multi-entry index mutations.
-};
-
-// Background lazy indexer (§3.4): worker threads drain a queue of (docid, text) pairs in
-// batches of up to kBatchLimit and hand each batch to `apply` — in a FileSystem, the
-// full-text store's ApplyBatch, which indexes it with one sorted bulk load and persists
-// the store's root. Documents are searchable only after their batch has been applied.
-// Versions of one docid apply in submission order: a worker never takes a document
-// whose docid is in another worker's batch.
-class LazyIndexer {
- public:
-  using ApplyFn = std::function<Status(const DocumentBatch& batch)>;
-
-  // Documents taken per wakeup (the same cap as the lazy tag indexer's batches).
-  static constexpr size_t kBatchLimit = 256;
-
-  LazyIndexer(ApplyFn apply, int num_threads);
-  ~LazyIndexer();  // Drains the queue, then joins the workers.
-
-  LazyIndexer(const LazyIndexer&) = delete;
-  LazyIndexer& operator=(const LazyIndexer&) = delete;
-
-  // Enqueue a document for indexing. Returns immediately.
-  void Submit(uint64_t docid, std::string text);
-
-  // Block until every submitted document has been indexed.
-  void Drain();
-
-  // Drop every queued version of docid and wait until no worker's batch holds one, so
-  // a removal that follows is not overtaken by an earlier snapshot.
-  void Cancel(uint64_t docid);
-
-  // Documents waiting or in flight.
-  size_t backlog() const;
-
-  // First error any worker hit (Ok if none). Sticky.
-  Status first_error() const;
-
- private:
-  void WorkerLoop();
-  // The queue's front may be taken: its docid is in no worker's batch. Holds mu_.
-  bool FrontIsFree() const;
-
-  const ApplyFn apply_;
-  mutable std::mutex mu_;
-  std::condition_variable cv_;       // Signals work available, docids freed or shutdown.
-  std::condition_variable done_cv_;  // Signals a batch finished or the queue shrank.
-  std::deque<std::pair<std::string, uint64_t>> queue_;  // (text, docid)
-  std::unordered_set<uint64_t> busy_docids_;            // Docids in workers' batches.
-  size_t in_flight_ = 0;
-  bool shutdown_ = false;
-  Status first_error_;
-  std::vector<std::thread> workers_;
 };
 
 }  // namespace fulltext

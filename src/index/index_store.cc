@@ -118,13 +118,14 @@ Result<std::unique_ptr<KeyValueIndexStore>> KeyValueIndexStore::Mount(osd::Osd* 
 Status KeyValueIndexStore::SyncRoot() {
   uint64_t root = tree_->root();
   if (root != last_root_) {
-    HFAD_RETURN_IF_ERROR(volume_->SetNamedRoot(root_name_, root));
+    HFAD_RETURN_IF_ERROR(volume_->SetNamedRootHeld(root_name_, root));
     last_root_ = root;
   }
   return Status::Ok();
 }
 
 Status KeyValueIndexStore::Add(Slice value, ObjectId oid) {
+  auto hold = volume_->SharedVolumeHold();
   std::unique_lock<std::shared_mutex> lock(mu_);
   bool inserted = false;
   HFAD_RETURN_IF_ERROR(tree_->Put(EntryKey(value, oid), Slice(), &inserted));
@@ -137,6 +138,7 @@ Status KeyValueIndexStore::Add(Slice value, ObjectId oid) {
 }
 
 Status KeyValueIndexStore::Remove(Slice value, ObjectId oid) {
+  auto hold = volume_->SharedVolumeHold();
   std::unique_lock<std::shared_mutex> lock(mu_);
   HFAD_RETURN_IF_ERROR(tree_->Delete(EntryKey(value, oid)));
   // A warm entry at the cap is clamped, not exact — decrementing it would drift the
@@ -160,6 +162,7 @@ Status KeyValueIndexStore::Remove(Slice value, ObjectId oid) {
 Status KeyValueIndexStore::ApplyBatch(
     const std::vector<std::pair<std::string, ObjectId>>& adds,
     const std::vector<std::pair<std::string, ObjectId>>& removes) {
+  auto hold = volume_->SharedVolumeHold();
   std::unique_lock<std::shared_mutex> lock(mu_);
   // Sort the ENCODED entry keys, not (value, oid) pairs: the NUL value/oid delimiter
   // makes pair order and key order disagree for values with embedded NUL.
@@ -563,7 +566,7 @@ Result<std::unique_ptr<FullTextIndexStore>> FullTextIndexStore::Mount(osd::Osd* 
 Status FullTextIndexStore::SyncRoot() {
   uint64_t root = tree_->root();
   if (root != last_root_) {
-    HFAD_RETURN_IF_ERROR(volume_->SetNamedRoot("index/FULLTEXT", root));
+    HFAD_RETURN_IF_ERROR(volume_->SetNamedRootHeld("index/FULLTEXT", root));
     last_root_ = root;
   }
   return Status::Ok();
@@ -577,18 +580,24 @@ Status FullTextIndexStore::ApplyBatch(
     const std::vector<std::pair<std::string, ObjectId>>& adds,
     const std::vector<std::pair<std::string, ObjectId>>& removes) {
   fulltext::FullTextIndex::PreparedBatch prepared = fulltext::FullTextIndex::Prepare(adds);
+  std::lock_guard<std::mutex> writer(writer_mu_);
+  auto hold = volume_->SharedVolumeHold(/*yield_to_checkpoint=*/true);
   std::unique_lock<std::shared_mutex> lock(mu_);
-  HFAD_RETURN_IF_ERROR(engine_->Apply(std::move(prepared)));
+  // Removes first: a document stripped in the same batch frees its entries before the
+  // new documents' postings need room (no add and remove share an oid here).
   for (const auto& [content, oid] : removes) {
     Status s = engine_->RemoveDocument(oid);
     if (!s.ok() && !s.IsNotFound()) {
       return s;
     }
   }
+  HFAD_RETURN_IF_ERROR(engine_->Apply(std::move(prepared)));
   return SyncRoot();
 }
 
 Status FullTextIndexStore::Remove(Slice, ObjectId oid) {
+  std::lock_guard<std::mutex> writer(writer_mu_);
+  auto hold = volume_->SharedVolumeHold();
   std::unique_lock<std::shared_mutex> lock(mu_);
   HFAD_RETURN_IF_ERROR(engine_->RemoveDocument(oid));
   return SyncRoot();

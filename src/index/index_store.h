@@ -22,6 +22,7 @@
 
 #include <map>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
@@ -61,7 +62,9 @@ struct TagValue {
 // separation — Add/Remove exclusive, the read methods shared — so that concurrent
 // queries on one store proceed in parallel and never block each other (see
 // docs/CONCURRENCY.md). Cross-store operations need no shared lock at all: independent
-// indexes have no common ancestor to synchronize through (§2.3).
+// indexes have no common ancestor to synchronize through (§2.3). The standard stores'
+// writes also hold Osd::SharedVolumeHold across the tree mutation and the root sync, so
+// a checkpoint never persists one without the other.
 class IndexStore {
  public:
   virtual ~IndexStore() = default;
@@ -169,8 +172,8 @@ class KeyValueIndexStore : public IndexStore {
 
   KeyValueIndexStore(osd::Osd* volume, std::string tag, uint64_t root);
 
-  // Persist the btree root under the named root when it has moved. Callers hold mu_
-  // exclusively.
+  // Persist the btree root under the named root when it has moved. Callers hold the
+  // volume's SharedVolumeHold and mu_ exclusively.
   Status SyncRoot();
 
   osd::Osd* const volume_;
@@ -214,9 +217,9 @@ class FullTextIndexStore : public IndexStore {
   std::string_view tag() const override { return kTagFulltext; }
   Status Add(Slice content, ObjectId oid) override;
   Status Remove(Slice content, ObjectId oid) override;  // Content is ignored: oid keys it.
-  // The lazy indexer's write path. Adds are (content, oid) pairs, tokenized and sorted
-  // outside mu_; under one exclusive mu_ hold the batch is applied with a single
-  // BulkLoad (FullTextIndex::Apply), removes follow, and the root is synced once.
+  // The background indexer's write path. Adds are (content, oid) pairs, tokenized and
+  // sorted outside mu_; under one exclusive mu_ hold the removes are applied, then the
+  // adds with a single BulkLoad (FullTextIndex::Apply), and the root is synced once.
   Status ApplyBatch(const std::vector<std::pair<std::string, ObjectId>>& adds,
                     const std::vector<std::pair<std::string, ObjectId>>& removes) override;
   Result<std::vector<ObjectId>> Lookup(Slice term) const override;
@@ -237,15 +240,19 @@ class FullTextIndexStore : public IndexStore {
 
   FullTextIndexStore(osd::Osd* volume, uint64_t root);
 
-  // Callers hold mu_ exclusively.
+  // Callers hold the volume's SharedVolumeHold and mu_ exclusively.
   Status SyncRoot();
 
   osd::Osd* const volume_;
   std::unique_ptr<btree::BTree> tree_;
   std::unique_ptr<fulltext::FullTextIndex> engine_;
   uint64_t last_root_ = 0;
-  // Reader/writer separation for the store API. Every write, the LazyIndexer's batches
-  // included, holds it exclusively; the engine's own mutex nests inside.
+  // Serializes writes BEFORE they take the volume hold, so a queued writer does not
+  // hold the volume lock shared while it waits for mu_ (a checkpoint would then wait
+  // for two batches instead of one).
+  std::mutex writer_mu_;
+  // Reader/writer separation for the store API. Every write, the background indexer's
+  // batches included, holds it exclusively; the engine's own mutex nests inside.
   mutable std::shared_mutex mu_;
 };
 

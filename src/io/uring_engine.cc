@@ -9,8 +9,9 @@
 // io_uring_enter; one reactor thread parks in io_uring_enter(GETEVENTS) and
 // drains CQEs, resolving per-op state and calling IoEngine::Deliver. A writev
 // becomes one IORING_OP_WRITEV per coalesced run (CoalesceExtents — same
-// sort/merge and stats accounting as the synchronous WriteBatch paths), completed
-// when the last run's CQE lands, first error wins.
+// sort/merge and stats accounting as the synchronous WriteBatch paths), submitted
+// in windows of at most the SQ size and completed when the last run's CQE lands,
+// first error wins.
 #include "src/io/io_engine.h"
 
 #ifdef HFAD_WITH_URING
@@ -149,9 +150,6 @@ class UringEngine : public IoEngine {
       runs.clear();
       sqes_needed = 1;  // NOP to route the failure through the reactor.
     }
-    if (sqes_needed > sq_entries_) {
-      return Status::IoError("writev exceeds io_uring queue depth");
-    }
     op->remaining = sqes_needed;
     IoHandle handle = RecordSubmit();
 
@@ -203,8 +201,10 @@ class UringEngine : public IoEngine {
       ops_.emplace(id, std::move(op));
     }
 
-    // Fill + flush the SQEs. SQ-full is transient (the kernel consumes entries
-    // inside io_uring_enter), so flushing and retrying cannot spin forever.
+    // Fill + flush the SQEs in windows of at most sq_entries_: a writev may have
+    // more runs than the ring has entries, so a full SQ is flushed (the kernel
+    // consumes the window inside io_uring_enter) and filling resumes. SQ-full is
+    // transient, so flushing and retrying cannot spin forever.
     unsigned filled = 0;
     while (filled < sqes_needed) {
       unsigned tail = *sq_tail_;

@@ -651,7 +651,7 @@ Result<bool> Osd::EnsureJournalSpace(uint64_t record_bytes, uint64_t* reserved) 
   // fast enough). The retry bound covers reservations that slip in between our
   // checkpoint and re-check.
   for (int attempt = 0; attempt < 8; attempt++) {
-    std::unique_lock<std::shared_mutex> vlock(volume_mu_);
+    std::unique_lock<std::shared_mutex> vlock = CheckpointVolumeLock();
     HFAD_RETURN_IF_ERROR(CheckpointLocked());
     if (try_reserve()) {
       return true;
@@ -821,7 +821,7 @@ Status Osd::Checkpoint() {
   // (Close() bypasses this gate via CheckpointLocked and surfaces the raw IO
   // error if the device really cannot take the final flush.)
   HFAD_RETURN_IF_ERROR(CheckWritable());
-  std::unique_lock<std::shared_mutex> vlock(volume_mu_);
+  std::unique_lock<std::shared_mutex> vlock = CheckpointVolumeLock();
   return CheckpointLocked();
 }
 
@@ -1267,7 +1267,7 @@ Status Osd::Write(ObjectId oid, uint64_t offset, Slice data) {
   if (!fits) {
     // Op too large to journal: apply under an exclusive lock and checkpoint immediately,
     // so no later journal record can depend on unjournaled state.
-    std::unique_lock<std::shared_mutex> vlock(volume_mu_);
+    std::unique_lock<std::shared_mutex> vlock = CheckpointVolumeLock();
     HFAD_RETURN_IF_ERROR(DoWrite(oid, offset, data, NowNs()));
     return CheckpointLocked();
   }
@@ -1294,7 +1294,7 @@ Status Osd::Insert(ObjectId oid, uint64_t offset, Slice data) {
   uint64_t reserved = 0;
   HFAD_ASSIGN_OR_RETURN(bool fits, EnsureJournalSpace(data.size() + 64, &reserved));
   if (!fits) {
-    std::unique_lock<std::shared_mutex> vlock(volume_mu_);
+    std::unique_lock<std::shared_mutex> vlock = CheckpointVolumeLock();
     HFAD_RETURN_IF_ERROR(DoInsert(oid, offset, data, NowNs()));
     return CheckpointLocked();
   }
@@ -1452,8 +1452,34 @@ Result<uint64_t> Osd::GetNamedRoot(const std::string& name) const {
   return DecodeFixed64(reinterpret_cast<const uint8_t*>(raw->data()));
 }
 
+std::shared_lock<std::shared_mutex> Osd::SharedVolumeHold(bool yield_to_checkpoint) const {
+  if (yield_to_checkpoint && checkpoints_waiting_.load(std::memory_order_acquire) > 0) {
+    std::unique_lock<std::mutex> lock(hold_mu_);
+    hold_cv_.wait(lock, [this] { return checkpoints_waiting_.load() == 0; });
+  }
+  return std::shared_lock<std::shared_mutex>(volume_mu_);
+}
+
+std::unique_lock<std::shared_mutex> Osd::CheckpointVolumeLock() {
+  {
+    std::lock_guard<std::mutex> lock(hold_mu_);
+    checkpoints_waiting_.fetch_add(1);
+  }
+  std::unique_lock<std::shared_mutex> vlock(volume_mu_);
+  {
+    std::lock_guard<std::mutex> lock(hold_mu_);
+    checkpoints_waiting_.fetch_sub(1);
+  }
+  hold_cv_.notify_all();
+  return vlock;
+}
+
 Status Osd::SetNamedRoot(const std::string& name, uint64_t root) {
   std::shared_lock<std::shared_mutex> vlock(volume_mu_);
+  return SetNamedRootHeld(name, root);
+}
+
+Status Osd::SetNamedRootHeld(const std::string& name, uint64_t root) {
   std::string value(8, '\0');
   EncodeFixed64(reinterpret_cast<uint8_t*>(value.data()), root);
   return named_roots_->Put(name, value);

@@ -231,6 +231,19 @@ class Osd {
   Result<uint64_t> GetNamedRoot(const std::string& name) const;
   Status SetNamedRoot(const std::string& name, uint64_t root);
 
+  // A higher-layer tree mutation is several steps: page writes (a root split or
+  // collapse moves the root and frees pages) and then SetNamedRootHeld publishing the
+  // new root. Holding this across all of them keeps checkpoints, which take the volume
+  // lock exclusive, from persisting pages and allocator state that disagree with the
+  // registered root. A long hold (a background index batch) passes
+  // yield_to_checkpoint: it first waits while a checkpoint wants the lock, so holds back
+  // to back cannot starve checkpoints; such a caller must not already hold the volume
+  // lock. Short holds skip the wait. Lock order: this -> the tree's own locks.
+  [[nodiscard]] std::shared_lock<std::shared_mutex> SharedVolumeHold(
+      bool yield_to_checkpoint = false) const;
+  // SetNamedRoot for a caller inside SharedVolumeHold().
+  Status SetNamedRootHeld(const std::string& name, uint64_t root);
+
   // Journal a higher-layer logical record; replayed via the Open() hook after a crash.
   // A no-op when journaling is off (the higher layer then has checkpoint durability,
   // like every other mutation).
@@ -413,6 +426,14 @@ class Osd {
 
   // Ops hold shared; Checkpoint holds exclusive.
   mutable std::shared_mutex volume_mu_;
+  // volume_mu_ X for a checkpoint, counted in checkpoints_waiting_ until it is held.
+  std::unique_lock<std::shared_mutex> CheckpointVolumeLock();
+  // Checkpoints waiting for volume_mu_ X; a yielding SharedVolumeHold waits while
+  // non-zero.
+  // Changed under hold_mu_, read without it on the fast path.
+  std::atomic<int> checkpoints_waiting_{0};
+  mutable std::mutex hold_mu_;
+  mutable std::condition_variable hold_cv_;
   // Protects journal appends and the reservation counters below.
   std::mutex journal_mu_;
   // Per-object sharded reader/writer locks: mutations take the object's shard

@@ -98,13 +98,14 @@ Result<std::unique_ptr<Expr>> Parse(Slice text);
 std::string ToString(const Expr& expr);
 
 // Read-visibility contract for one Find call under lazy background indexing (see
-// docs/API.md). With inline indexing the two modes are indistinguishable.
+// docs/API.md). FULLTEXT is always indexed in the background; other tags only under
+// lazy tag indexing, and with inline tag indexing the two modes agree on them.
 enum class Visibility {
-  // Wait until the background indexer has applied every tag intent enqueued before the
+  // Wait until the background indexer has applied every intent enqueued before the
   // call for the tags this query touches (the per-tag applied-sequence horizon), then
-  // execute. Every previously acknowledged mutation is visible.
+  // execute. Every previously acknowledged mutation, IndexContent included, is visible.
   kStrict,
-  // Execute against the postings as they are right now. Acknowledged-but-unapplied tag
+  // Execute against the postings as they are right now. Acknowledged-but-unapplied
   // mutations may be missing; no waiting, the ingest-side win of lazy indexing.
   kRelaxed,
 };
@@ -120,8 +121,7 @@ struct FindOptions {
   ObjectId after = 0;
   // Optional work counters, filled during execution.
   PlanStats* stats = nullptr;
-  // Index visibility under lazy background indexing; ignored (always effectively
-  // strict) when the filesystem indexes inline.
+  // Index visibility under lazy background indexing (see Visibility).
   Visibility visibility = Visibility::kStrict;
   // When set, Find fills a structured EXPLAIN of the executed plan. Costs extra
   // index reads after execution (actual cardinalities); leave null on hot paths.

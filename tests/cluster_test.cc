@@ -44,7 +44,6 @@ std::vector<std::shared_ptr<BlockDevice>> MakeDevices(size_t n) {
 
 FileSystemOptions ShardedOptions(size_t n) {
   FileSystemOptions opts;
-  opts.lazy_indexing_threads = 0;  // Synchronous content indexing: deterministic.
   opts.shard_count = n;
   return opts;
 }
@@ -272,7 +271,7 @@ TEST(ShardedFileSystemTest, LazyIntentsOnEveryShardSurviveAHardCrash) {
   }
   auto reopened = FileSystem::Open(bases, opts);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  ASSERT_TRUE((*reopened)->WaitForTagIndexing().ok());
+  ASSERT_TRUE((*reopened)->WaitForIndexing().ok());
   for (const auto& [oid, value] : acked) {
     EXPECT_EQ(StrictFind(reopened->get(), "UDEF:" + value), std::vector<ObjectId>{oid})
         << "lost acknowledged intent " << value;
@@ -566,7 +565,7 @@ TEST(ClusterStormTest, CrossShardBatchStormWithReadersAndFsck) {
     threads[i].join();
   }
   EXPECT_EQ(failures.load(), 0);
-  ASSERT_TRUE(fs->WaitForTagIndexing().ok());
+  ASSERT_TRUE(fs->WaitForIndexing().ok());
   EXPECT_TRUE(fs->PendingIndexIntents().empty());
 
   auto report = CheckFileSystem(fs);

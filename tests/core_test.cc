@@ -23,9 +23,7 @@ constexpr uint64_t kDev = 64 * 1024 * 1024;
 class CoreTest : public ::testing::Test {
  protected:
   CoreTest() : dev_(std::make_shared<MemoryBlockDevice>(kDev)) {
-    FileSystemOptions opts;
-    opts.lazy_indexing_threads = 0;  // Synchronous indexing: deterministic tests.
-    auto fs = FileSystem::Create(dev_, opts);
+    auto fs = FileSystem::Create(dev_);
     EXPECT_TRUE(fs.ok()) << fs.status().ToString();
     fs_ = std::move(fs).value();
   }
@@ -268,9 +266,7 @@ TEST_F(CoreTest, CursorTracksLiveChanges) {
 // ---------------------------------------------------------------- lazy indexing
 
 TEST(CoreLazyTest, BackgroundIndexingBecomesVisibleAfterDrain) {
-  FileSystemOptions opts;
-  opts.lazy_indexing_threads = 3;
-  auto fs = FileSystem::Create(std::make_shared<MemoryBlockDevice>(kDev), opts);
+  auto fs = FileSystem::Create(std::make_shared<MemoryBlockDevice>(kDev));
   ASSERT_TRUE(fs.ok());
   std::vector<ObjectId> oids;
   for (int i = 0; i < 100; i++) {
@@ -292,9 +288,7 @@ TEST(CorePersistenceTest, NamespaceSurvivesCleanReopen) {
   auto dev = std::make_shared<MemoryBlockDevice>(kDev);
   ObjectId oid;
   {
-    FileSystemOptions opts;
-    opts.lazy_indexing_threads = 0;
-    auto fs = FileSystem::Create(dev, opts);
+    auto fs = FileSystem::Create(dev);
     ASSERT_TRUE(fs.ok());
     auto r = (*fs)->Create({{"USER", "margo"}, {"UDEF", "keeper"}});
     ASSERT_TRUE(r.ok());
@@ -322,7 +316,6 @@ TEST(CorePersistenceTest, NamespaceRecoversAfterCrash) {
   ObjectId kept, removed;
   {
     FileSystemOptions opts;
-    opts.lazy_indexing_threads = 0;
     opts.osd.group_commit = false;  // Every op durable on return.
     auto fs = FileSystem::Create(faulty, opts);
     ASSERT_TRUE(fs.ok());
@@ -339,7 +332,6 @@ TEST(CorePersistenceTest, NamespaceRecoversAfterCrash) {
     faulty->SetWriteBudget(0);  // Crash: destructor checkpoint cannot reach the device.
   }
   FileSystemOptions opts;
-  opts.lazy_indexing_threads = 0;
   opts.osd.group_commit = false;
   auto fs = FileSystem::Open(base, opts);
   ASSERT_TRUE(fs.ok()) << fs.status().ToString();
@@ -367,9 +359,7 @@ TEST(CorePersistenceTest, NamespaceRecoversAfterCrash) {
 // the storm, the forward indexes and the reverse map must agree perfectly (Fsck), and
 // every surviving name must be reachable through Lookup.
 TEST(CoreConcurrencyTest, OverlappingTagStormStaysFsckClean) {
-  FileSystemOptions opts;
-  opts.lazy_indexing_threads = 0;
-  auto fs = FileSystem::Create(std::make_shared<MemoryBlockDevice>(kDev), opts);
+  auto fs = FileSystem::Create(std::make_shared<MemoryBlockDevice>(kDev));
   ASSERT_TRUE(fs.ok());
 
   constexpr int kObjects = 48;
@@ -428,9 +418,7 @@ TEST(CoreConcurrencyTest, OverlappingTagStormStaysFsckClean) {
 }
 
 TEST(CoreConcurrencyTest, ParallelTaggingOnIndependentObjects) {
-  FileSystemOptions opts;
-  opts.lazy_indexing_threads = 0;
-  auto fs = FileSystem::Create(std::make_shared<MemoryBlockDevice>(kDev), opts);
+  auto fs = FileSystem::Create(std::make_shared<MemoryBlockDevice>(kDev));
   ASSERT_TRUE(fs.ok());
   constexpr int kThreads = 8;
   constexpr int kPerThread = 50;

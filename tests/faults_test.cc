@@ -442,7 +442,6 @@ TEST(FaultsTest, ReadOnlyShardRejectsForeignAppends) {
 // reads from cached pages) against concurrent tag mutations, checkpoints, and reads.
 TEST(FaultsTest, ScrubUnderTagStormIsRaceFree) {
   core::FileSystemOptions opts;
-  opts.lazy_indexing_threads = 0;
   opts.osd.scrub_interval_ms = 1;  // Scrub continuously.
   opts.osd.scrub_pages_per_batch = 64;
   opts.osd.scrub_pause_us = 0;
@@ -501,7 +500,6 @@ TEST(FaultsTest, FsckReportsQuarantinedPages) {
   auto base = std::make_shared<MemoryBlockDevice>(kDev);
   auto faulty = std::make_shared<FaultyBlockDevice>(base);
   core::FileSystemOptions opts;
-  opts.lazy_indexing_threads = 0;
   opts.osd.io_threads = 0;
   uint64_t victim = 0;
   {

@@ -16,9 +16,7 @@ namespace {
 constexpr uint64_t kDev = 64 * 1024 * 1024;
 
 std::unique_ptr<FileSystem> MakeFs(std::shared_ptr<BlockDevice> dev) {
-  FileSystemOptions opts;
-  opts.lazy_indexing_threads = 0;
-  auto fs = FileSystem::Create(std::move(dev), opts);
+  auto fs = FileSystem::Create(std::move(dev));
   EXPECT_TRUE(fs.ok());
   return std::move(fs).value();
 }
@@ -45,6 +43,7 @@ TEST(FsckTest, PopulatedVolumeIsClean) {
   auto fd = pfs->Open("/d/file", posix::kWrite | posix::kCreate);
   ASSERT_TRUE(fd.ok());
   ASSERT_TRUE(pfs->Close(*fd).ok());
+  ASSERT_TRUE(fs->WaitForIndexing().ok());  // The document count below needs a drain.
 
   auto report = CheckFileSystem(fs.get());
   ASSERT_TRUE(report.ok());
@@ -67,6 +66,7 @@ TEST(FsckTest, CleanAfterChurn) {
   for (size_t i = 0; i < oids.size(); i += 2) {
     ASSERT_TRUE(fs->Remove(oids[i]).ok());
   }
+  ASSERT_TRUE(fs->WaitForIndexing().ok());  // The document count below needs a drain.
   auto report = CheckFileSystem(fs.get());
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->clean()) << report->ToString();
@@ -100,6 +100,7 @@ TEST(FsckTest, DetectsDanglingFulltextPosting) {
   ASSERT_TRUE(oid.ok());
   ASSERT_TRUE(fs->Write(*oid, 0, "ghost words").ok());
   ASSERT_TRUE(fs->IndexContent(*oid).ok());
+  ASSERT_TRUE(fs->WaitForIndexing().ok());
   // Delete the object behind the index's back (the OSD API, not FileSystem::Remove).
   ASSERT_TRUE(fs->volume()->DeleteObject(*oid).ok());
 
@@ -107,6 +108,29 @@ TEST(FsckTest, DetectsDanglingFulltextPosting) {
   ASSERT_TRUE(report.ok());
   EXPECT_FALSE(report->clean());
   EXPECT_NE(report->ToString().find("full-text index contains dead object"),
+            std::string::npos)
+      << report->ToString();
+}
+
+// An object whose content was indexed must stay in the full-text index: its marker in
+// the reverse map says so, and a document lost from the engine is reported.
+TEST(FsckTest, DetectsIndexedContentMissingFromFulltext) {
+  auto fs = MakeFs(std::make_shared<MemoryBlockDevice>(kDev));
+  auto oid = fs->Create();
+  ASSERT_TRUE(oid.ok());
+  ASSERT_TRUE(fs->Write(*oid, 0, "content that goes missing").ok());
+  ASSERT_TRUE(fs->IndexContent(*oid).ok());
+  ASSERT_TRUE(fs->WaitForIndexing().ok());
+  auto before = CheckFileSystem(fs.get());
+  ASSERT_TRUE(before.ok());
+  EXPECT_TRUE(before->clean()) << before->ToString();
+  // Drop the document behind the filesystem's back.
+  ASSERT_TRUE(fs->indexes()->store(index::kTagFulltext)->Remove("", *oid).ok());
+
+  auto report = CheckFileSystem(fs.get());
+  ASSERT_TRUE(report.ok());
+  EXPECT_FALSE(report->clean());
+  EXPECT_NE(report->ToString().find("indexed content missing from the full-text index"),
             std::string::npos)
       << report->ToString();
 }

@@ -2,8 +2,6 @@
 // background indexing.
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <future>
 #include <map>
 #include <memory>
 #include <set>
@@ -386,117 +384,31 @@ TEST(FullTextBatchTest, EmptyBatchWritesNothing) {
   EXPECT_EQ(*index.doc_count(), 0u);
 }
 
-// ---------------------------------------------------------------- lazy indexer
+// ---------------------------------------------------------------- concurrency
 
-// The apply function a standalone LazyIndexer needs: batches go straight into `index`.
-LazyIndexer::ApplyFn IndexInto(FullTextIndex* index) {
-  return [index](const DocumentBatch& batch) { return index->IndexDocuments(batch); };
-}
-
-TEST_F(FullTextTest, LazyIndexerEventuallyIndexesEverything) {
-  {
-    LazyIndexer lazy(IndexInto(&index_), 4);
-    for (uint64_t d = 1; d <= 200; d++) {
-      lazy.Submit(d, "background document number" + std::to_string(d) + " lazyterm");
-    }
-    lazy.Drain();
-    EXPECT_EQ(lazy.backlog(), 0u);
-    EXPECT_TRUE(lazy.first_error().ok());
-  }
-  auto r = index_.Search({"lazyterm"});
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->size(), 200u);
-  EXPECT_EQ(*index_.doc_count(), 200u);
-}
-
-TEST_F(FullTextTest, LazyIndexerDestructorDrains) {
-  {
-    LazyIndexer lazy(IndexInto(&index_), 2);
-    for (uint64_t d = 1; d <= 50; d++) {
-      lazy.Submit(d, "destructor drained doc");
-    }
-    // No explicit Drain: the destructor must finish the backlog.
-  }
-  EXPECT_EQ(*index_.doc_count(), 50u);
-}
-
+// Searches racing a writer that indexes batches must not crash or error; each sees a
+// consistent snapshot, and the final answer covers every batch.
 TEST_F(FullTextTest, SearchWhileIndexing) {
-  LazyIndexer lazy(IndexInto(&index_), 4);
-  for (uint64_t d = 1; d <= 300; d++) {
-    lazy.Submit(d, "concurrent searchable corpus doc" + std::to_string(d));
-  }
-  // Searches racing with indexing must not crash or error; results are a snapshot.
+  std::thread writer([this] {
+    for (uint64_t first = 1; first <= 300; first += 30) {
+      DocumentBatch batch;
+      for (uint64_t d = first; d < first + 30; d++) {
+        batch.emplace_back("concurrent searchable corpus doc" + std::to_string(d), d);
+      }
+      EXPECT_TRUE(index_.IndexDocuments(batch).ok());
+    }
+  });
   for (int i = 0; i < 20; i++) {
     auto r = index_.Search({"searchable"});
     ASSERT_TRUE(r.ok()) << r.status().ToString();
   }
-  lazy.Drain();
+  writer.join();
   auto r = index_.Search({"searchable"});
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->size(), 300u);
 }
 
-// A worker must not take a newer version of a document while another worker's batch
-// still holds an older one: the first batch stalls inside apply, and the document must
-// still end at the version submitted last.
-TEST_F(FullTextTest, LazyIndexerAppliesVersionsInSubmitOrder) {
-  std::promise<void> stalled;
-  std::atomic<bool> first{true};
-  {
-    LazyIndexer lazy(
-        [&](const DocumentBatch& batch) {
-          if (first.exchange(false)) {
-            stalled.set_value();
-            std::this_thread::sleep_for(std::chrono::milliseconds(50));
-          }
-          return index_.IndexDocuments(batch);
-        },
-        2);
-    lazy.Submit(1, "version v0");
-    stalled.get_future().wait();  // One worker holds v0 in its batch.
-    for (int r = 1; r <= 100; r++) {
-      lazy.Submit(1, "version v" + std::to_string(r));
-    }
-    lazy.Submit(2, "another document");
-    lazy.Drain();
-    EXPECT_TRUE(lazy.first_error().ok());
-  }
-  EXPECT_EQ(*index_.doc_count(), 2u);
-  EXPECT_EQ(*index_.DocumentFrequency("v100"), 1u);
-  EXPECT_EQ(*index_.DocumentFrequency("v0"), 0u);
-}
-
-// Cancel drops the queued versions of a document and returns only once no batch in
-// flight still holds one.
-TEST_F(FullTextTest, LazyIndexerCancelDropsQueuedVersions) {
-  std::promise<void> stalled;
-  std::atomic<bool> first{true};
-  {
-    LazyIndexer lazy(
-        [&](const DocumentBatch& batch) {
-          if (first.exchange(false)) {
-            stalled.set_value();
-            std::this_thread::sleep_for(std::chrono::milliseconds(50));
-          }
-          return index_.IndexDocuments(batch);
-        },
-        2);
-    lazy.Submit(1, "version v0");
-    stalled.get_future().wait();  // One worker holds v0 in its batch.
-    lazy.Submit(1, "version v1");
-    lazy.Submit(2, "another document");
-    lazy.Cancel(1);
-    EXPECT_EQ(*index_.DocumentFrequency("v0"), 1u);  // The batch in flight finished.
-    ASSERT_TRUE(index_.RemoveDocument(1).ok());
-    lazy.Drain();
-    EXPECT_TRUE(lazy.first_error().ok());
-  }
-  EXPECT_EQ(*index_.doc_count(), 1u);
-  EXPECT_EQ(*index_.DocumentFrequency("v1"), 0u);
-  EXPECT_EQ(*index_.DocumentFrequency("another"), 1u);
-}
-
-// The default FileSystem's two lazy workers apply batches under the full-text store's
+// The default FileSystem's two indexer workers apply batches under the full-text store's
 // exclusive lock while readers run SearchText, another thread removes indexed objects,
 // and the writer removes objects whose snapshots are still queued. Run under TSan in CI.
 TEST(FullTextStressTest, LazyBatchesRaceSearchTextAndRemove) {

@@ -441,6 +441,43 @@ TEST(UringEngineTest, RoundTripsThroughTheKernelWhenAvailable) {
   std::filesystem::remove(path);
 }
 
+// A checkpoint's writev may coalesce into more runs than the submission queue has
+// entries; the engine submits them in windows instead of refusing the request.
+TEST(UringEngineTest, WritevWithMoreRunsThanQueueEntries) {
+  constexpr uint64_t kPages = 300;  // Non-adjacent: one run per page.
+  std::string path = TempPath("uring_wide_writev");
+  std::filesystem::remove(path);
+  auto dev = FileBlockDevice::Open(path, 2 * kPages * 4096);
+  ASSERT_TRUE(dev.ok()) << dev.status().ToString();
+
+  IoEngineOptions opts;
+  opts.backend = IoBackend::kAuto;
+  auto engine = CreateIoEngine(dev->get(), opts);
+  if (std::string(engine->backend_name()) != "io_uring") {
+    GTEST_SKIP() << "io_uring unavailable (not built or kernel refused)";
+  }
+
+  std::vector<std::string> pages;
+  IoRequest writev;
+  writev.op = IoOp::kWritev;
+  for (uint64_t i = 0; i < kPages; i++) {
+    pages.push_back(std::string(4096, static_cast<char>('a' + i % 26)));
+  }
+  for (uint64_t i = 0; i < kPages; i++) {
+    writev.extents.push_back({2 * i * 4096, Slice(pages[i])});
+  }
+  ASSERT_TRUE(SubmitAndWait(engine.get(), std::move(writev)).ok());
+  engine->Shutdown();
+  EXPECT_EQ(engine->completed(), engine->submitted());
+
+  for (uint64_t i = 0; i < kPages; i += 37) {
+    std::string got;
+    ASSERT_TRUE((*dev)->Read(2 * i * 4096, 4096, &got).ok());
+    EXPECT_EQ(got, pages[i]) << "page " << i;
+  }
+  std::filesystem::remove(path);
+}
+
 TEST(UringEngineTest, MemoryDevicesNeverSelectUring) {
   // No native fd -> CreateIoEngine must pick the thread pool even on kAuto,
   // because kernel IO would bypass MemoryBlockDevice/FaultyBlockDevice

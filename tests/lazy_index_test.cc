@@ -1,10 +1,14 @@
-// Lazy background tag indexing: visibility semantics, crash-replay of acknowledged
-// intents (tear sweep over every checkpoint write budget), a seeded differential check
-// against an inline-indexed reference, and a multi-threaded tag-storm stress run.
+// The background indexer: visibility semantics of lazy tag and content intents,
+// crash-replay of acknowledged intents (tear sweep over every checkpoint write budget),
+// a seeded differential check against an inline-indexed reference and a content model,
+// and a multi-threaded tag-storm stress run.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,14 +29,12 @@ constexpr uint64_t kDev = 64 * 1024 * 1024;
 
 FileSystemOptions LazyOptions() {
   FileSystemOptions opts;
-  opts.lazy_indexing_threads = 0;  // Content indexing out of the way; tags only.
   opts.lazy_tag_indexing = true;
   return opts;
 }
 
 FileSystemOptions InlineOptions() {
   FileSystemOptions opts;
-  opts.lazy_indexing_threads = 0;
   opts.lazy_tag_indexing = false;
   return opts;
 }
@@ -50,6 +52,23 @@ std::vector<ObjectId> StrictFind(FileSystem* fs, const std::string& query) {
   auto page = fs->Find(Slice(query), o);
   EXPECT_TRUE(page.ok()) << query << ": " << page.status().ToString();
   return page.ok() ? page->ids : std::vector<ObjectId>{};
+}
+
+// SearchText for one term (strict unless told otherwise), as ascending oids.
+std::vector<ObjectId> TextHits(FileSystem* fs, const std::string& term,
+                               query::Visibility visibility = query::Visibility::kStrict) {
+  FileSystem::SearchTextOptions o;
+  o.visibility = visibility;
+  auto hits = fs->SearchText({term}, o);
+  EXPECT_TRUE(hits.ok()) << term << ": " << hits.status().ToString();
+  std::vector<ObjectId> out;
+  if (hits.ok()) {
+    for (const auto& hit : *hits) {
+      out.push_back(hit.docid);
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 std::vector<ObjectId> RelaxedFind(FileSystem* fs, const std::string& query) {
@@ -95,7 +114,7 @@ TEST(LazyIndexTest, RelaxedFindServesCurrentPostingsWithoutWaiting) {
   EXPECT_EQ(fs->PendingIndexIntents().size(), 1u);
 
   fs->tag_indexer_for_testing()->SetPausedForTesting(false);
-  ASSERT_TRUE(fs->WaitForTagIndexing().ok());
+  ASSERT_TRUE(fs->WaitForIndexing().ok());
   EXPECT_EQ(RelaxedFind(fs.get(), "UDEF:pinned"), std::vector<ObjectId>{*oid});
   EXPECT_TRUE(fs->PendingIndexIntents().empty());
 }
@@ -134,7 +153,7 @@ TEST(LazyIndexTest, RemoveTagAndRemoveObjectConvergeThroughTheQueue) {
   ASSERT_TRUE(fs->Remove(*b).ok());
   EXPECT_EQ(StrictFind(fs.get(), "UDEF:keep"), std::vector<ObjectId>{*a});
   EXPECT_TRUE(StrictFind(fs.get(), "USER:m").empty());
-  ASSERT_TRUE(fs->WaitForTagIndexing().ok());
+  ASSERT_TRUE(fs->WaitForIndexing().ok());
   auto report = CheckFileSystem(fs.get());
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->clean()) << report->ToString();
@@ -144,7 +163,7 @@ TEST(LazyIndexTest, FsckSuppressesInFlightIntentsInsteadOfReportingOrphans) {
   auto fs = MakeFs(std::make_shared<MemoryBlockDevice>(kDev), LazyOptions());
   auto oid = fs->Create();
   ASSERT_TRUE(oid.ok());
-  ASSERT_TRUE(fs->WaitForTagIndexing().ok());
+  ASSERT_TRUE(fs->WaitForIndexing().ok());
   fs->tag_indexer_for_testing()->SetPausedForTesting(true);
   // Reverse map ahead of the forward index — previously phase 2's "missing from
   // forward index" orphan.
@@ -153,18 +172,83 @@ TEST(LazyIndexTest, FsckSuppressesInFlightIntentsInsteadOfReportingOrphans) {
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->clean()) << report->ToString();
   fs->tag_indexer_for_testing()->SetPausedForTesting(false);
-  ASSERT_TRUE(fs->WaitForTagIndexing().ok());
+  ASSERT_TRUE(fs->WaitForIndexing().ok());
+}
+
+// A content intent is pending until applied: strict SearchText waits for it, relaxed
+// does not see it, fsck suppresses it, and the marker it leaves in the reverse map is
+// not a name.
+TEST(LazyIndexTest, ContentIntentIsPendingUntilApplied) {
+  auto fs = MakeFs(std::make_shared<MemoryBlockDevice>(kDev), InlineOptions());
+  auto oid = fs->Create({{"UDEF", "doc"}});
+  ASSERT_TRUE(oid.ok());
+  ASSERT_TRUE(fs->Write(*oid, 0, "pending words").ok());
+  fs->tag_indexer_for_testing()->SetPausedForTesting(true);
+  ASSERT_TRUE(fs->IndexContent(*oid).ok());
+  EXPECT_TRUE(TextHits(fs.get(), "pending", query::Visibility::kRelaxed).empty());
+  auto pending = fs->PendingIndexIntents();
+  ASSERT_EQ(pending.size(), 1u);
+  EXPECT_EQ(pending[0].first, *oid);
+  EXPECT_EQ(pending[0].second.tag, "FULLTEXT");
+  EXPECT_EQ(pending[0].second.value, "");
+  EXPECT_TRUE(fs->HasName(*oid, {"FULLTEXT", ""}));
+  auto tags = fs->Tags(*oid);
+  ASSERT_TRUE(tags.ok());
+  ASSERT_EQ(tags->size(), 1u);
+  EXPECT_EQ((*tags)[0].tag, "UDEF");
+  EXPECT_NE(fs->DumpMetrics().find("\"indexer_queue_depth\":1"), std::string::npos);
+  auto report = CheckFileSystem(fs.get());
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->clean()) << report->ToString();
+
+  std::vector<ObjectId> got;
+  std::thread reader([&] { got = TextHits(fs.get(), "pending"); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  fs->tag_indexer_for_testing()->SetPausedForTesting(false);
+  reader.join();
+  EXPECT_EQ(got, std::vector<ObjectId>{*oid});
+  EXPECT_TRUE(fs->PendingIndexIntents().empty());
+  EXPECT_TRUE(fs->RemoveTag(*oid, {"FULLTEXT", ""}).IsInvalidArgument());
+}
+
+// Versions of one document apply in submission order, also when they span several
+// batches: the document ends at the version indexed last.
+TEST(LazyIndexTest, ContentVersionsApplyInSubmitOrder) {
+  auto fs = MakeFs(std::make_shared<MemoryBlockDevice>(kDev), InlineOptions());
+  auto doc = fs->Create();
+  auto other = fs->Create();
+  ASSERT_TRUE(doc.ok());
+  ASSERT_TRUE(other.ok());
+  ASSERT_TRUE(fs->Write(*other, 0, "another document").ok());
+  // Paused, so the worker later takes the 300 versions as more than one batch.
+  fs->tag_indexer_for_testing()->SetPausedForTesting(true);
+  char version[16];
+  for (int v = 0; v < 300; v++) {
+    snprintf(version, sizeof(version), "version v%03d", v);
+    ASSERT_TRUE(fs->Write(*doc, 0, version).ok());
+    ASSERT_TRUE(fs->IndexContent(*doc).ok());
+  }
+  ASSERT_TRUE(fs->IndexContent(*other).ok());
+  fs->tag_indexer_for_testing()->SetPausedForTesting(false);
+  ASSERT_TRUE(fs->WaitForIndexing().ok());
+  EXPECT_EQ(TextHits(fs.get(), "v299"), std::vector<ObjectId>{*doc});
+  EXPECT_TRUE(TextHits(fs.get(), "v000").empty());
+  EXPECT_TRUE(TextHits(fs.get(), "v255").empty());
+  EXPECT_EQ(TextHits(fs.get(), "another"), std::vector<ObjectId>{*other});
+  auto docs = fs->SearchText({"version"});
+  ASSERT_TRUE(docs.ok());
+  EXPECT_EQ(docs->size(), 1u);
 }
 
 // ---------------------------------------------------------------- crash replay
 
-// The tear sweep (satellite of the osd-level CheckpointTearTest): acknowledged tag
-// intents with the indexer queue deliberately HALF drained, then a checkpoint cut off
-// after `budget` device writes with the last one torn. Whatever the tear position —
-// inside the pending-intent tree epilogue, mid page image, before the journal reset —
-// reopening must rebuild the unapplied queue and strict reads must converge on every
-// acknowledged tag. Large budgets let the checkpoint complete and exercise the
-// persisted pending set instead of journal-suffix replay.
+// The tear sweep (satellite of the osd-level CheckpointTearTest): acknowledged tag and
+// content intents with the indexer queue deliberately HALF drained, then a checkpoint
+// cut off after `budget` device writes with the last one torn. Whatever the tear
+// position — inside the pending-intent tree epilogue, mid page image, before the
+// journal reset — reopening must rebuild the unapplied queue and strict reads must
+// converge on every acknowledged tag and document. Large budgets let the checkpoint
+// complete and exercise the persisted pending set instead of journal-suffix replay.
 class LazyIndexTearTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(LazyIndexTearTest, AcknowledgedIntentsSurviveATornCheckpoint) {
@@ -181,23 +265,26 @@ TEST_P(LazyIndexTearTest, AcknowledgedIntentsSurviveATornCheckpoint) {
         for (int i = 0; i < 6; i++) {
           auto oid = fs->Create();
           ASSERT_TRUE(oid.ok());
+          ASSERT_TRUE(fs->Write(*oid, 0, "torn body" + std::to_string(i)).ok());
           oids.push_back(*oid);
         }
         // First half: acknowledged AND applied.
         for (int i = 0; i < 3; i++) {
           ASSERT_TRUE(fs->AddTag(oids[i], {"UDEF", "crash" + std::to_string(i)}).ok());
+          ASSERT_TRUE(fs->IndexContent(oids[i]).ok());
           acked.emplace_back(oids[i], "crash" + std::to_string(i));
         }
-        ASSERT_TRUE(fs->WaitForTagIndexing().ok());
+        ASSERT_TRUE(fs->WaitForIndexing().ok());
         // Second half: acknowledged, pinned unapplied — the crash window the design
         // is for.
         fs->tag_indexer_for_testing()->SetPausedForTesting(true);
         for (int i = 3; i < 6; i++) {
           ASSERT_TRUE(fs->AddTag(oids[i], {"UDEF", "crash" + std::to_string(i)}).ok());
+          ASSERT_TRUE(fs->IndexContent(oids[i]).ok());
           acked.emplace_back(oids[i], "crash" + std::to_string(i));
         }
         ASSERT_TRUE(fs->Sync().ok());
-        EXPECT_EQ(fs->PendingIndexIntents().size(), 3u);
+        EXPECT_EQ(fs->PendingIndexIntents().size(), 6u);
 
         point->Tear();
         (void)fs->Checkpoint();  // May fail anywhere, including mid-WriteBatch.
@@ -208,11 +295,14 @@ TEST_P(LazyIndexTearTest, AcknowledgedIntentsSurviveATornCheckpoint) {
         ASSERT_TRUE(reopened.ok())
             << "budget " << budget << ": " << reopened.status().ToString();
         FileSystem* fs = reopened->get();
-        ASSERT_TRUE(fs->WaitForTagIndexing().ok()) << "budget " << budget;
-        for (const auto& [oid, value] : acked) {
+        ASSERT_TRUE(fs->WaitForIndexing().ok()) << "budget " << budget;
+        for (size_t i = 0; i < acked.size(); i++) {
+          const auto& [oid, value] = acked[i];
           EXPECT_EQ(StrictFind(fs, "UDEF:" + value), std::vector<ObjectId>{oid})
               << "budget " << budget << " lost acknowledged tag " << value;
           EXPECT_TRUE(fs->HasName(oid, {"UDEF", value})) << "budget " << budget;
+          EXPECT_EQ(TextHits(fs, "body" + std::to_string(i)), std::vector<ObjectId>{oid})
+              << "budget " << budget << " lost acknowledged content of object " << i;
         }
         auto report = CheckFileSystem(fs);
         ASSERT_TRUE(report.ok()) << "budget " << budget;
@@ -267,7 +357,7 @@ TEST(LazyIndexRecoveryTest, CleanCloseCarriesUnappliedIntentsAcrossReopen) {
   }  // Destructor: Drain is a paused no-op, checkpoint persists the pending set.
   auto reopened = FileSystem::Open(dev, LazyOptions());
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  ASSERT_TRUE((*reopened)->WaitForTagIndexing().ok());
+  ASSERT_TRUE((*reopened)->WaitForIndexing().ok());
   EXPECT_EQ(StrictFind(reopened->get(), "UDEF:carried"), std::vector<ObjectId>{oid});
 }
 
@@ -315,6 +405,71 @@ TEST(LazyIndexRecoveryTest, LazyContentIndexSurvivesCleanReopen) {
   EXPECT_TRUE(report->clean()) << report->ToString();
 }
 
+// Default options, content acknowledged but not yet applied when a checkpoint resets
+// the journal, then a crash: the checkpoint's pending set must carry every content
+// intent, and replay re-reads the objects.
+TEST(LazyIndexRecoveryTest, LazyContentIndexSurvivesCheckpointThenCrash) {
+  constexpr int kObjects = 400;
+  auto base = std::make_shared<MemoryBlockDevice>(kDev);
+  auto faulty = std::make_shared<FaultyBlockDevice>(base);
+  std::vector<ObjectId> oids;
+  {
+    auto fs = MakeFs(faulty, FileSystemOptions{});
+    ASSERT_NE(fs, nullptr);
+    for (int i = 0; i < kObjects; i++) {
+      auto oid = fs->Create();
+      ASSERT_TRUE(oid.ok());
+      // Long enough that the indexer is still behind when the checkpoint runs.
+      std::string text = "crash content uniq" + std::to_string(i) + " shared words";
+      for (int w = 0; w < 300; w++) {
+        text += " filler" + std::to_string((i * 31 + w * 7) % 997);
+      }
+      ASSERT_TRUE(fs->Write(*oid, 0, text).ok());
+      ASSERT_TRUE(fs->IndexContent(*oid).ok());
+      oids.push_back(*oid);
+    }
+    ASSERT_TRUE(fs->Checkpoint().ok());
+    faulty->SetWriteBudget(0);  // Crash: nothing after the checkpoint reaches the device.
+  }
+  auto reopened = FileSystem::Open(base, FileSystemOptions{});
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  Status drained = (*reopened)->WaitForIndexing();
+  ASSERT_TRUE(drained.ok()) << drained.ToString();
+  int found = 0;
+  for (int i = 0; i < kObjects; i++) {
+    if (TextHits(reopened->get(), "uniq" + std::to_string(i)) ==
+        std::vector<ObjectId>{oids[static_cast<size_t>(i)]}) {
+      found++;
+    }
+  }
+  EXPECT_EQ(found, kObjects);
+  auto report = CheckFileSystem(reopened->get());
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->clean()) << report->ToString();
+}
+
+// A clean close drains the queue: the reopened volume has nothing pending and even a
+// relaxed search finds every document.
+TEST(LazyIndexRecoveryTest, CloseDrainsQueuedContent) {
+  constexpr int kObjects = 50;
+  auto dev = std::make_shared<MemoryBlockDevice>(kDev);
+  {
+    auto fs = MakeFs(dev, FileSystemOptions{});
+    ASSERT_NE(fs, nullptr);
+    for (int i = 0; i < kObjects; i++) {
+      auto oid = fs->Create();
+      ASSERT_TRUE(oid.ok());
+      ASSERT_TRUE(fs->Write(*oid, 0, "destructor drained doc").ok());
+      ASSERT_TRUE(fs->IndexContent(*oid).ok());
+    }
+  }  // No WaitForIndexing: the destructor must finish the backlog.
+  auto reopened = FileSystem::Open(dev, FileSystemOptions{});
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_TRUE((*reopened)->PendingIndexIntents().empty());
+  EXPECT_EQ(TextHits(reopened->get(), "drained", query::Visibility::kRelaxed).size(),
+            static_cast<size_t>(kObjects));
+}
+
 // Removing an object whose content snapshot is still queued: the removal must win,
 // so no later batch re-indexes the removed object.
 TEST(LazyIndexTest, RemoveDropsQueuedContentSnapshots) {
@@ -342,9 +497,12 @@ TEST(LazyIndexTest, RemoveDropsQueuedContentSnapshots) {
 // Randomized seeded workloads applied to a lazy filesystem and an inline-indexed
 // reference in lockstep: after every op the acknowledged statuses must match, and at
 // every sync point strict Find on the lazy side must equal Find on the reference.
+// Content rides along: IndexContent, rewrites without re-indexing, and Remove, checked
+// by strict SearchText on both sides against a model of the last indexed snapshot.
 TEST(LazyIndexDifferentialTest, StrictFindMatchesInlineReference) {
   const std::vector<std::string> kTags = {"UDEF", "USER"};
   const int kValues = 8;
+  const int kWords = 6;
   for (uint64_t seed : {7u, 19u, 43u}) {
     auto lazy = MakeFs(std::make_shared<MemoryBlockDevice>(kDev), LazyOptions());
     auto ref = MakeFs(std::make_shared<MemoryBlockDevice>(kDev), InlineOptions());
@@ -352,7 +510,19 @@ TEST(LazyIndexDifferentialTest, StrictFindMatchesInlineReference) {
     ASSERT_NE(ref, nullptr);
     Random rng(seed);
     std::vector<ObjectId> oids;
+    std::map<ObjectId, std::set<int>> indexed;  // Model: words of each indexed snapshot.
     auto check_all = [&] {
+      for (int word = 0; word < kWords; word++) {
+        std::string term = "word" + std::to_string(word);
+        std::vector<ObjectId> expect;
+        for (const auto& [oid, words] : indexed) {
+          if (words.count(word) != 0) {
+            expect.push_back(oid);
+          }
+        }
+        EXPECT_EQ(TextHits(lazy.get(), term), expect) << "seed " << seed << " " << term;
+        EXPECT_EQ(TextHits(ref.get(), term), expect) << "seed " << seed << " " << term;
+      }
       for (const std::string& tag : kTags) {
         for (int v = 0; v < kValues; v++) {
           std::string q = tag + ":v" + std::to_string(v);
@@ -368,8 +538,35 @@ TEST(LazyIndexDifferentialTest, StrictFindMatchesInlineReference) {
           << "seed " << seed;
     };
     for (int op = 0; op < 400; op++) {
-      uint64_t dice = rng.Uniform(100);
-      if (oids.empty() || dice < 10) {
+      uint64_t dice = rng.Uniform(115);
+      if (!oids.empty() && dice >= 100) {
+        // Content: 100-109 rewrite and maybe index, 110-114 remove the object.
+        const size_t pick = rng.Uniform(oids.size());
+        const ObjectId oid = oids[pick];
+        if (dice >= 110) {
+          ASSERT_TRUE(lazy->Remove(oid).ok());
+          ASSERT_TRUE(ref->Remove(oid).ok());
+          indexed.erase(oid);
+          oids.erase(oids.begin() + static_cast<ptrdiff_t>(pick));
+        } else {
+          std::set<int> words;
+          std::string text;
+          for (int w = 0; w < 3; w++) {
+            int word = static_cast<int>(rng.Uniform(kWords));
+            words.insert(word);
+            text += "word" + std::to_string(word) + " ";
+          }
+          ASSERT_TRUE(lazy->Truncate(oid, 0, *lazy->Size(oid)).ok());
+          ASSERT_TRUE(ref->Truncate(oid, 0, *ref->Size(oid)).ok());
+          ASSERT_TRUE(lazy->Write(oid, 0, text).ok());
+          ASSERT_TRUE(ref->Write(oid, 0, text).ok());
+          if (!rng.OneIn(4)) {  // Otherwise the index keeps the previous snapshot.
+            ASSERT_TRUE(lazy->IndexContent(oid).ok());
+            ASSERT_TRUE(ref->IndexContent(oid).ok());
+            indexed[oid] = words;
+          }
+        }
+      } else if (oids.empty() || dice < 10) {
         auto a = lazy->Create();
         auto b = ref->Create();
         ASSERT_TRUE(a.ok());
@@ -416,41 +613,48 @@ TEST(LazyIndexDifferentialTest, StrictFindMatchesInlineReference) {
       }
     }
     check_all();
-    ASSERT_TRUE(lazy->WaitForTagIndexing().ok());
-    auto report = CheckFileSystem(lazy.get());
-    ASSERT_TRUE(report.ok());
-    EXPECT_TRUE(report->clean()) << "seed " << seed << ": " << report->ToString();
+    ASSERT_TRUE(lazy->WaitForIndexing().ok());
+    for (FileSystem* fs : {lazy.get(), ref.get()}) {
+      auto report = CheckFileSystem(fs);
+      ASSERT_TRUE(report.ok());
+      EXPECT_TRUE(report->clean()) << "seed " << seed << ": " << report->ToString();
+    }
   }
 }
 
 // ---------------------------------------------------------------- multi-worker
 
-// With several application workers, tags are hash-partitioned so per-tag FIFO order
-// is preserved; add/remove/add sequences queued before any of them apply must net to
-// the same final postings as single-worker operation.
+// Ops are routed to the workers by oid, so one tag's ops spread over both workers
+// while each object's ops keep their FIFO order; add/remove/add sequences queued
+// before any of them apply must net to the same final postings as inline operation.
 TEST(LazyIndexTest, MultiWorkerAppliesPerTagFifoOrder) {
   FileSystemOptions opts = LazyOptions();
-  opts.tag_indexer_workers = 4;
   auto fs = MakeFs(std::make_shared<MemoryBlockDevice>(kDev), opts);
   ASSERT_NE(fs, nullptr);
-  auto oid = fs->Create();
-  ASSERT_TRUE(oid.ok());
+  std::vector<ObjectId> oids;
+  for (size_t i = 0; i < LazyTagIndexer::kWorkers + 1; i++) {
+    auto oid = fs->Create();
+    ASSERT_TRUE(oid.ok());
+    oids.push_back(*oid);
+  }
   fs->tag_indexer_for_testing()->SetPausedForTesting(true);
   for (int t = 0; t < 32; t++) {
     TagValue name{"UDEF", "mw" + std::to_string(t)};
-    ASSERT_TRUE(fs->AddTag(*oid, name).ok());
-    ASSERT_TRUE(fs->RemoveTag(*oid, name).ok());
-    if (t % 2 == 0) {
-      ASSERT_TRUE(fs->AddTag(*oid, name).ok());
+    for (ObjectId oid : oids) {
+      ASSERT_TRUE(fs->AddTag(oid, name).ok());
+      ASSERT_TRUE(fs->RemoveTag(oid, name).ok());
+      if (t % 2 == 0) {
+        ASSERT_TRUE(fs->AddTag(oid, name).ok());
+      }
     }
   }
   EXPECT_FALSE(fs->PendingIndexIntents().empty());
   fs->tag_indexer_for_testing()->SetPausedForTesting(false);
-  ASSERT_TRUE(fs->WaitForTagIndexing().ok());
+  ASSERT_TRUE(fs->WaitForIndexing().ok());
   for (int t = 0; t < 32; t++) {
     std::string q = "UDEF:mw" + std::to_string(t);
     if (t % 2 == 0) {
-      EXPECT_EQ(StrictFind(fs.get(), q), std::vector<ObjectId>{*oid}) << q;
+      EXPECT_EQ(StrictFind(fs.get(), q), oids) << q;
     } else {
       EXPECT_TRUE(StrictFind(fs.get(), q).empty()) << q;
     }
@@ -470,10 +674,8 @@ TEST(LazyIndexTest, MultiWorkerAppliesPerTagFifoOrder) {
 TEST(LazyIndexStressTest, TagStormWithConcurrentReadersAndFsck) {
   FileSystemOptions opts = LazyOptions();
   // A small queue so writers regularly block in ReserveSlots and exercise the
-  // backpressure path against the worker and checkpoints. Three workers (uneven
-  // hash split) so the TSan job covers multi-worker draining too.
+  // backpressure path against the workers and checkpoints.
   opts.tag_intent_queue_capacity = 64;
-  opts.tag_indexer_workers = 3;
   auto fs = MakeFs(std::make_shared<MemoryBlockDevice>(kDev), opts);
   ASSERT_NE(fs, nullptr);
 
@@ -543,7 +745,7 @@ TEST(LazyIndexStressTest, TagStormWithConcurrentReadersAndFsck) {
     threads[i].join();
   }
   EXPECT_EQ(failures.load(), 0);
-  ASSERT_TRUE(fs->WaitForTagIndexing().ok());
+  ASSERT_TRUE(fs->WaitForIndexing().ok());
   EXPECT_TRUE(fs->PendingIndexIntents().empty());
 
   // Quiesced: the forward postings must now mirror the reverse map exactly.

@@ -193,7 +193,6 @@ class ExplainTest : public ::testing::Test {
  protected:
   void SetUp() override {
     FileSystemOptions options;
-    options.lazy_indexing_threads = 0;
     options.osd.journaling = false;
     auto fs = FileSystem::Create(std::make_shared<MemoryBlockDevice>(kDev), options);
     ASSERT_TRUE(fs.ok()) << fs.status().ToString();
@@ -313,7 +312,6 @@ void ExpectBalancedJson(const std::string& doc) {
 
 TEST(DumpMetricsTest, JsonDuringLiveTagStorm) {
   FileSystemOptions options;
-  options.lazy_indexing_threads = 0;
   options.lazy_tag_indexing = true;
   auto fs_or = FileSystem::Create(std::make_shared<MemoryBlockDevice>(kDev), options);
   ASSERT_TRUE(fs_or.ok()) << fs_or.status().ToString();
@@ -353,7 +351,7 @@ TEST(DumpMetricsTest, JsonDuringLiveTagStorm) {
     th.join();
   }
   EXPECT_EQ(failures.load(), 0);
-  ASSERT_TRUE(fs->WaitForTagIndexing().ok());
+  ASSERT_TRUE(fs->WaitForIndexing().ok());
 
   const std::string doc = fs->DumpMetrics();
   ExpectBalancedJson(doc);
@@ -375,7 +373,6 @@ TEST(DumpMetricsTest, JsonDuringLiveTagStorm) {
 
 TEST(VisibilityOptions, SearchTextAndCursorExposeVisibility) {
   FileSystemOptions options;
-  options.lazy_indexing_threads = 0;
   options.lazy_tag_indexing = true;
   auto fs_or = FileSystem::Create(std::make_shared<MemoryBlockDevice>(kDev), options);
   ASSERT_TRUE(fs_or.ok()) << fs_or.status().ToString();
@@ -385,7 +382,7 @@ TEST(VisibilityOptions, SearchTextAndCursorExposeVisibility) {
   ASSERT_TRUE(oid.ok());
   ASSERT_TRUE(fs->Write(*oid, 0, Slice("tagged observability document")).ok());
   ASSERT_TRUE(fs->IndexContent(*oid).ok());
-  ASSERT_TRUE(fs->WaitForTagIndexing().ok());
+  ASSERT_TRUE(fs->WaitForIndexing().ok());
 
   FileSystem::SearchTextOptions search;
   search.limit = 4;

@@ -28,9 +28,7 @@ constexpr uint64_t kDev = 128 * 1024 * 1024;
 class SystemTest : public ::testing::Test {
  protected:
   SystemTest() : dev_(std::make_shared<MemoryBlockDevice>(kDev)) {
-    FileSystemOptions opts;
-    opts.lazy_indexing_threads = 0;
-    auto fs = FileSystem::Create(dev_, opts);
+    auto fs = FileSystem::Create(dev_);
     EXPECT_TRUE(fs.ok());
     fs_ = std::move(fs).value();
     auto pfs = posix::PosixFs::Mount(fs_.get());
@@ -70,7 +68,9 @@ TEST_F(SystemTest, DocumentWorkflowAcrossAllLayers) {
   ASSERT_TRUE(paper.ok());
   ASSERT_TRUE(fs_->AddTag(*paper, {"UDEF", "status:submitted"}).ok());
 
-  // Boolean query mixing tag and content predicates.
+  // Boolean query mixing tag and content predicates, straight on the stores: the
+  // background indexer must have applied the content first.
+  ASSERT_TRUE(fs_->WaitForIndexing().ok());
   query::QueryEngine engine(fs_->indexes());
   auto r = engine.Run("UDEF:project:hfad AND FULLTEXT:namespace");
   ASSERT_TRUE(r.ok());
@@ -110,7 +110,6 @@ TEST(SystemCrashTest, CrossLayerCrashConsistency) {
   auto base = std::make_shared<MemoryBlockDevice>(kDev);
   auto faulty = std::make_shared<FaultyBlockDevice>(base);
   FileSystemOptions opts;
-  opts.lazy_indexing_threads = 0;
   opts.osd.group_commit = false;
   std::string surviving_path;
   ObjectId tagged_oid = 0;
@@ -167,7 +166,6 @@ TEST_P(SystemPropertyTest, NamespaceModelSurvivesReopen) {
   const SystemWorkload p = GetParam();
   auto dev = std::make_shared<MemoryBlockDevice>(kDev);
   FileSystemOptions opts;
-  opts.lazy_indexing_threads = 0;
   opts.osd.journaling = p.journaling;
   Random rng(p.seed);
 
