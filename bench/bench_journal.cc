@@ -15,6 +15,9 @@
 //                                recovery vs threshold-triggered checkpoints).
 //   * FlushCoalescing          — device writes issued per checkpoint flush of scattered
 //                                vs adjacent dirty pages (sorted, coalesced write-back).
+//   * CheckpointEpilogue/<n>   — one checkpoint of n scattered dirty pages on default
+//                                options: epilogue build + commit, in-place write-back,
+//                                checksum table, superblock, journal reset.
 //
 // BENCH_journal.json holds the checked-in trajectory (pre- and post-group-commit);
 // docs/BENCHMARKS.md has the regeneration commands.
@@ -24,6 +27,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -322,6 +326,59 @@ void BM_FlushCoalescing(benchmark::State& state) {
                          static_cast<double>(flushes);
 }
 BENCHMARK(BM_FlushCoalescing)->Arg(0)->Arg(1);
+
+// ---------------------------------------------------------------- checkpoint epilogue
+
+// One checkpoint of Arg(0) dirty pages on a default-options volume (journaling, group
+// commit, page checksums, IoEngine). The pages are every other page of one heap
+// extent, so the in-place phase cannot coalesce them — like btree pages scattered
+// over the heap. Dirtying happens with the timer paused; the timed region is
+// Osd::Checkpoint alone, whose cost the epilogue (journaling every dirty page image)
+// dominated.
+void BM_CheckpointEpilogue(benchmark::State& state) {
+  const uint64_t pages = static_cast<uint64_t>(state.range(0));
+  OsdOptions opts;
+  opts.journal_size = 48ull << 20;  // Holds the largest epilogue (8192 images).
+  auto created = Osd::Create(std::make_shared<MemoryBlockDevice>(256ull << 20), opts);
+  if (!created.ok()) {
+    state.SkipWithError(created.status().ToString().c_str());
+    return;
+  }
+  auto osd = std::move(created).value();
+  auto extent = osd->allocator()->Allocate(2 * pages * hfad::kPageSize);
+  if (!extent.ok()) {
+    state.SkipWithError(extent.status().ToString().c_str());
+    return;
+  }
+  uint64_t round = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    round++;
+    for (uint64_t p = 0; p < pages; p++) {
+      auto page = osd->pager()->Get(extent->offset + 2 * p * hfad::kPageSize);
+      if (!page.ok()) {
+        state.SkipWithError(page.status().ToString().c_str());
+        return;
+      }
+      std::memcpy((*page)->cdata(), &round, sizeof(round));
+      (*page)->MarkDirty();
+    }
+    state.ResumeTiming();
+    Status s = osd->Checkpoint();
+    if (!s.ok()) {
+      state.SkipWithError(s.ToString().c_str());
+      return;
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * pages);
+  state.counters["pages"] = static_cast<double>(pages);
+}
+BENCHMARK(BM_CheckpointEpilogue)
+    ->Arg(512)
+    ->Arg(2048)
+    ->Arg(8192)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 

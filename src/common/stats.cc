@@ -63,6 +63,10 @@ std::string_view CounterName(Counter c) {
       return "scrub_pages_repaired";
     case Counter::kScrubPagesQuarantined:
       return "scrub_pages_quarantined";
+    case Counter::kCheckpointsForced:
+      return "checkpoints_forced";
+    case Counter::kCheckpointPagesJournaled:
+      return "checkpoint_pages_journaled";
     case Counter::kNumCounters:
       break;
   }

@@ -45,6 +45,8 @@ enum class Counter : int {
   kScrubErrorsFound,       // Scrub-detected checksum mismatches.
   kScrubPagesRepaired,     // Mismatched pages rewritten from a clean cached copy.
   kScrubPagesQuarantined,  // Mismatched pages with no clean source; reads now fail loudly.
+  kCheckpointsForced,       // Checkpoints run on an op's thread by the journal-space backstop.
+  kCheckpointPagesJournaled,  // Page images journaled by checkpoint epilogues.
   kNumCounters,  // Sentinel.
 };
 

@@ -16,13 +16,14 @@ namespace journal {
 
 namespace {
 
-// CRC over (length, sequence, payload) — everything after the CRC field itself.
-uint32_t RecordCrc(uint32_t length, uint64_t sequence, Slice payload) {
+// CRC over (length, sequence, payload) — everything after the CRC field itself. The
+// payload may arrive in two parts (RecordParts); the CRC is that of their concatenation.
+uint32_t RecordCrc(uint32_t length, uint64_t sequence, Slice head, Slice body = Slice()) {
   uint8_t hdr[12];
   EncodeFixed32(hdr, length);
   EncodeFixed64(hdr + 4, sequence);
   uint32_t crc = Crc32c(Slice(hdr, sizeof(hdr)));
-  return Crc32cExtend(crc, payload);
+  return Crc32cExtend(Crc32cExtend(crc, head), body);
 }
 
 }  // namespace
@@ -67,8 +68,20 @@ void Journal::SetRetryPolicy(const RetryPolicy& retry) {
 }
 
 Result<uint64_t> Journal::Append(Slice payload) {
+  const RecordParts record{payload, Slice()};
+  return AppendRecords(&record, 1);
+}
+
+Result<uint64_t> Journal::AppendBatch(const std::vector<RecordParts>& records) {
+  return AppendRecords(records.data(), records.size());
+}
+
+Result<uint64_t> Journal::AppendRecords(const RecordParts* records, size_t count) {
+  uint64_t need = 0;
+  for (size_t i = 0; i < count; i++) {
+    need += kRecordHeaderSize + records[i].head.size() + records[i].body.size();
+  }
   std::lock_guard<std::mutex> lock(mu_);
-  uint64_t need = kRecordHeaderSize + payload.size();
   // Keep one trailing header's worth of zeroes so recovery always sees a terminator.
   // The in-flight batch still occupies [write_pos_, +inflight_bytes_) until its leader
   // either advances write_pos_ or returns the records to pending_.
@@ -77,16 +90,28 @@ Result<uint64_t> Journal::Append(Slice payload) {
     return Status::NoSpace("journal region full (" + std::to_string(region_size_) +
                            " bytes); checkpoint required");
   }
-  uint64_t seq = next_seq_++;
-  uint8_t hdr[16];
-  uint32_t crc = RecordCrc(static_cast<uint32_t>(payload.size()), seq, payload);
-  EncodeFixed32(hdr, MaskCrc(crc));
-  EncodeFixed32(hdr + 4, static_cast<uint32_t>(payload.size()));
-  EncodeFixed64(hdr + 8, seq);
-  pending_.append(reinterpret_cast<const char*>(hdr), sizeof(hdr));
-  pending_.append(payload.data(), payload.size());
-  pending_count_++;
-  return seq;
+  // Grow once for the whole batch (at least doubling, so one-record appends stay
+  // amortized O(1)): a checkpoint epilogue of thousands of page images otherwise
+  // reallocates, and page-faults through, about twice its own size.
+  const size_t want = pending_.size() + need;
+  if (want > pending_.capacity()) {
+    pending_.reserve(std::max(want, 2 * pending_.capacity()));
+  }
+  for (size_t i = 0; i < count; i++) {
+    const RecordParts& r = records[i];
+    const uint32_t length = static_cast<uint32_t>(r.head.size() + r.body.size());
+    const uint64_t seq = next_seq_++;
+    uint8_t hdr[kRecordHeaderSize];
+    EncodeFixed32(hdr, MaskCrc(RecordCrc(length, seq, r.head, r.body)));
+    EncodeFixed32(hdr + 4, length);
+    EncodeFixed64(hdr + 8, seq);
+    pending_.append(reinterpret_cast<const char*>(hdr), sizeof(hdr));
+    for (Slice part : {r.head, r.body}) {
+      if (!part.empty()) pending_.append(part.data(), part.size());
+    }
+  }
+  pending_count_ += count;
+  return next_seq_ - 1;
 }
 
 Status Journal::LeadCommit(std::unique_lock<std::mutex>& lock) {

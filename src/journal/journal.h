@@ -57,6 +57,15 @@ namespace journal {
 // Fixed per-record framing overhead (CRC + length + sequence).
 constexpr uint64_t kRecordHeaderSize = 16;
 
+// One record of an AppendBatch. The record's payload is `head` followed by `body`: a
+// caller can journal a large buffer it does not own (a cached page) behind a small
+// prefix without concatenating the two first. Both slices need only live until the
+// append returns.
+struct RecordParts {
+  Slice head;
+  Slice body;
+};
+
 class Journal {
  public:
   // The journal owns [region_offset, region_offset + region_size) of `device`. A fresh
@@ -89,8 +98,15 @@ class Journal {
   // Buffer one record. It is durable only after a Commit() covers its sequence. Returns
   // the record's sequence number, or NoSpace when the region cannot hold it (checkpoint,
   // then retry). Holds the journal lock only to reserve + copy: an in-flight commit's
-  // device Write/Sync never blocks an append.
+  // device Write/Sync never blocks an append. The one-record case of AppendBatch.
   Result<uint64_t> Append(Slice payload);
+
+  // Buffer `records` as consecutive records, all or nothing: space is checked once for
+  // the whole batch (NoSpace appends none of them), the pending buffer grows once, and
+  // each record is framed and CRC'd straight from its parts. Returns the last record's
+  // sequence (next_sequence() - 1 for an empty batch). The bytes buffered are exactly
+  // those of appending each record's head + body one at a time.
+  Result<uint64_t> AppendBatch(const std::vector<RecordParts>& records);
 
   // Make every record appended before this call durable. Leader/follower group commit:
   // returns as soon as the committed watermark covers the caller's target — possibly
@@ -143,6 +159,9 @@ class Journal {
   uint64_t committed_bytes() const;
 
  private:
+  // Shared body of Append and AppendBatch.
+  Result<uint64_t> AppendRecords(const RecordParts* records, size_t count);
+
   // One link of the async commit chain: the batch drained by an async leader, alive
   // (via shared_ptr) until its sync completion lands — the engine requires request
   // buffers to outlive their completions.

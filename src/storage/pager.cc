@@ -413,22 +413,46 @@ Status Pager::Flush() {
   // rewrite. Drain first: no new batch can be submitted while we hold flush_mu_
   // exclusive (submission requires it shared).
   AwaitPendingWritebacks();
+  return WriteBackLocked(CollectDirtyLocked());
+}
+
+std::vector<PageRef> Pager::CollectDirty() const {
+  std::unique_lock<std::shared_mutex> mutation_barrier(flush_mu_);
+  // A completion racing this snapshot could clear dirty bits mid-collection;
+  // drain so the checkpoint epilogue sees a stable dirty set. (Journaled volumes
+  // run no-steal, so in practice the pending count is already zero here.)
+  AwaitPendingWritebacks();
+  return CollectDirtyLocked();
+}
+
+Status Pager::WriteBack(const std::vector<PageRef>& pages) {
+  std::unique_lock<std::shared_mutex> mutation_barrier(flush_mu_);
+  AwaitPendingWritebacks();  // Same stale-completion hazard as Flush.
+  return WriteBackLocked(pages);
+}
+
+std::vector<PageRef> Pager::CollectDirtyLocked() const {
   std::vector<PageRef> dirty;
+  dirty.reserve(dirty_pages());
   for (size_t i = 0; i < stripe_count_; i++) {
-    Stripe& s = stripes_[i];
+    const Stripe& s = stripes_[i];
     std::shared_lock<std::shared_mutex> lock = LockStripeShared(s);
-    for (auto& [offset, page] : s.map) {
+    for (const auto& [offset, page] : s.map) {
       if (page->dirty()) {
         dirty.push_back(page);
       }
     }
   }
-  if (!dirty.empty()) {
-    stats::Add(stats::Counter::kPageWrites, dirty.size());
+  return dirty;
+}
+
+Status Pager::WriteBackLocked(const std::vector<PageRef>& pages) {
+  if (!pages.empty()) {
+    stats::Add(stats::Counter::kPageWrites, pages.size());
     Status wrote = retry_.RunWithRetry([&]() -> Status {
       std::vector<WriteExtent> extents;
-      extents.reserve(dirty.size());
-      for (const PageRef& page : dirty) {
+      extents.reserve(pages.size());
+      for (const PageRef& page : pages) {
         extents.push_back(WriteExtent{page->offset(), Slice(page->cdata(), kPageSize)});
       }
       if (engine_ != nullptr) {
@@ -442,7 +466,7 @@ Status Pager::Flush() {
       return device_->WriteBatch(std::move(extents));
     });
     HFAD_RETURN_IF_ERROR(wrote);
-    for (const PageRef& page : dirty) {
+    for (const PageRef& page : pages) {
       if (checksums_ != nullptr) {
         // Safe to stamp from the live buffer: flush_mu_ is held exclusive, so no
         // mutator can change page content between the device write and this stamp.
@@ -459,30 +483,6 @@ Status Pager::Flush() {
     }
     return device_->Sync();
   });
-}
-
-void Pager::CollectDirty(std::vector<std::pair<uint64_t, std::string>>* out) const {
-  std::unique_lock<std::shared_mutex> mutation_barrier(flush_mu_);
-  // A completion racing this snapshot could clear dirty bits mid-collection;
-  // drain so the checkpoint epilogue sees a stable dirty set. (Journaled volumes
-  // run no-steal, so in practice the pending count is already zero here.)
-  AwaitPendingWritebacks();
-  std::vector<PageRef> dirty;
-  for (size_t i = 0; i < stripe_count_; i++) {
-    const Stripe& s = stripes_[i];
-    std::shared_lock<std::shared_mutex> lock = LockStripeShared(s);
-    for (const auto& [offset, page] : s.map) {
-      if (page->dirty()) {
-        dirty.push_back(page);
-      }
-    }
-  }
-  // The 4-KiB image copies happen outside the stripe locks; the mutation barrier (and
-  // volume_mu_ at the OSD layer) keeps the buffers stable meanwhile.
-  out->reserve(out->size() + dirty.size());
-  for (const PageRef& page : dirty) {
-    out->emplace_back(page->offset(), std::string(page->cdata(), kPageSize));
-  }
 }
 
 Status Pager::ReadRaw(uint64_t offset, size_t size, std::string* out) const {

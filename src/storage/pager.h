@@ -11,12 +11,13 @@
 // path. The stripe count adapts to capacity (one stripe per 64 pages, at most 16) so
 // small caches keep strict global capacity behavior.
 //
-// No device IO ever happens under a stripe lock. Flush and CollectDirty snapshot the
-// dirty set per stripe, drop the lock, and issue ONE sorted WriteBatch (adjacent pages
-// coalesce into single device writes). Eviction prefers clean victims; when only dirty
-// victims remain it leaves them resident, write-backs them in a batch after the stripe
-// lock is released, and clears their dirty bits only if the page's mutation epoch is
-// unchanged — a page re-dirtied mid-IO simply stays dirty and is written again later.
+// No device IO ever happens under a stripe lock. CollectDirty pins the dirty set per
+// stripe and drops the lock; WriteBack (and Flush, which is the two in one) issues ONE
+// sorted WriteBatch for such a set (adjacent pages coalesce into single device
+// writes). Eviction prefers clean victims; when only dirty victims remain it leaves
+// them resident, write-backs them in a batch after the stripe lock is released, and
+// clears their dirty bits only if the page's mutation epoch is unchanged — a page
+// re-dirtied mid-IO simply stays dirty and is written again later.
 //
 // Hits/misses/write-backs are counted in hfad::stats so benchmarks can report IO
 // amplification. Page *content* synchronization remains the responsibility of the
@@ -160,16 +161,24 @@ class Pager {
   // Return a zeroed page at offset without reading the device (for freshly allocated pages).
   Result<PageRef> GetZeroed(uint64_t offset);
 
-  // Write back every dirty page (one sorted, coalesced WriteBatch) and Sync the device.
-  // Caller must exclude page-content mutators for the duration (the OSD holds volume_mu_
-  // exclusive; FileSystem-layer tree writers are excluded via the mutation hold below).
+  // Write back every dirty page (one sorted, coalesced WriteBatch) and Sync the device:
+  // CollectDirty then WriteBack under one exclusive mutation hold. Caller must exclude
+  // page-content mutators for the duration (the OSD holds volume_mu_ exclusive;
+  // FileSystem-layer tree writers are excluded via the mutation hold below).
   Status Flush();
 
-  // Copy (offset, image) of every dirty page, without writing anything back. The OSD
-  // journals these images ahead of a checkpoint so the checkpoint's in-place writes are
-  // redo-able after a crash. Same exclusion requirements as Flush; the images are copied
-  // outside the stripe locks.
-  void CollectDirty(std::vector<std::pair<uint64_t, std::string>>* out) const;
+  // Pin every dirty page, without copying or writing anything. The OSD journals these
+  // pages' images ahead of a checkpoint (straight from the page buffers) so the
+  // checkpoint's in-place writes are redo-able after a crash, then hands the same set
+  // to WriteBack. The pins keep the pages resident; their content stays stable only
+  // while the caller excludes page-content mutators (the OSD's exclusive volume hold,
+  // which every tree writer's SharedVolumeHold respects), since the mutation hold is
+  // released on return.
+  std::vector<PageRef> CollectDirty() const;
+
+  // Write `pages` back in place (one coalesced WriteBatch), stamp their checksums,
+  // clear their dirty bits, and Sync the device. Same exclusion requirements as Flush.
+  Status WriteBack(const std::vector<PageRef>& pages);
 
   // Number of dirty pages currently cached. O(1): journal-space accounting calls this
   // on every journaled op.
@@ -276,6 +285,11 @@ class Pager {
   // (stripe lock only — a leaf, so this never deadlocks a Flush); then drop the pins
   // and retire the batch from pending_writebacks_.
   void WritebackDone(Stripe& s, std::shared_ptr<WritebackBatch> st, Status status);
+
+  // CollectDirty / WriteBack bodies. Caller holds flush_mu_ exclusive and has drained
+  // pending write-backs (AwaitPendingWritebacks).
+  std::vector<PageRef> CollectDirtyLocked() const;
+  Status WriteBackLocked(const std::vector<PageRef>& pages);
 
   // Block until no async write-back is in flight. Called under an exclusive
   // flush_mu_: submission increments pending_writebacks_ while holding flush_mu_

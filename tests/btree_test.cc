@@ -3,6 +3,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -283,7 +284,11 @@ struct WorkloadParam {
   size_t min_value;
   size_t max_value;
   int ops;
+  // Explicit, zeroed padding: gtest names each case by the struct's raw bytes, and
+  // implicit padding (uninitialised) gave the case a new name on every run.
+  char padding[4] = {};
 };
+static_assert(std::has_unique_object_representations_v<WorkloadParam>);
 
 class BTreePropertyTest : public ::testing::TestWithParam<WorkloadParam> {};
 

@@ -1,6 +1,7 @@
 // Unit + property tests for the counted extent tree (byte-accessible object data).
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -240,9 +241,12 @@ TEST_F(ExtentTreeTest, ManySmallInsertsAtFrontForceDeepTree) {
 // Property test: mirror a std::string model through random byte operations.
 struct ExtentWorkload {
   uint64_t seed;
-  int ops;
+  // 64-bit so the struct has no padding: gtest names each case by the struct's raw
+  // bytes, and implicit padding (uninitialised) gave the case a new name on every run.
+  int64_t ops;
   uint64_t max_piece;  // Largest single write/insert.
 };
+static_assert(std::has_unique_object_representations_v<ExtentWorkload>);
 
 class ExtentTreePropertyTest : public ::testing::TestWithParam<ExtentWorkload> {};
 

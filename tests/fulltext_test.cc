@@ -6,6 +6,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -493,7 +494,11 @@ struct CorpusParam {
   int docs;
   int vocab;
   int words_per_doc;
+  // Explicit, zeroed padding: gtest names each case by the struct's raw bytes, and
+  // implicit padding (uninitialised) gave the case a new name on every run.
+  char padding[4] = {};
 };
+static_assert(std::has_unique_object_representations_v<CorpusParam>);
 
 class FullTextPropertyTest : public ::testing::TestWithParam<CorpusParam> {};
 

@@ -292,6 +292,102 @@ INSTANTIATE_TEST_SUITE_P(TearAtEveryWrite, CheckpointTearTest,
                          ::testing::Combine(::testing::Range(0, 14),
                                             ::testing::Bool()));
 
+// A checkpoint whose dirty set is several times the page cache's capacity (the no-steal
+// pager keeps every dirty page resident), torn at each device write it issues: the
+// pending record's commit, the epilogue batch (page images journaled straight from the
+// pinned pages), the in-place write-back runs, the allocator area, the checksum table,
+// the superblock and the journal reset. The one unsynced overwrite ahead of the
+// checkpoint is a single journal record, so every tear recovers to the state before
+// the checkpoint (old payload) or after it (new payload) — and once the first write,
+// that record's commit, has landed, always after.
+class LargeCheckpointTearTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(LargeCheckpointTearTest, RecoversToBeforeOrAfterAtEveryWrite) {
+  OsdOptions opts;
+  opts.io_threads = GetParam();
+  opts.pager_capacity_pages = 8;
+  opts.retry = RetryPolicy::None();
+  constexpr int kObjects = 40;
+  auto payload = [](int i, char fill) {
+    return "object #" + std::to_string(i) + std::string(3 * 4096 + 100 * i, fill);
+  };
+  const std::string overwrite = "overwritten after the last sync";
+
+  // Builds the acknowledged state, overwrites object 0 without syncing, and returns
+  // the device writes an untorn checkpoint of it issues (when point is null).
+  std::vector<ObjectId> oids;
+  auto run = [&](const std::shared_ptr<FaultyBlockDevice>& faulty,
+                 test::CrashPoint* point) -> uint64_t {
+    auto r = Osd::Create(faulty, opts);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (!r.ok()) return 0;
+    auto osd = std::move(r).value();
+    oids.clear();
+    for (int i = 0; i < kObjects; i++) {
+      auto oid = osd->CreateObject();
+      EXPECT_TRUE(oid.ok());
+      EXPECT_TRUE(osd->Write(*oid, 0, payload(i, 'a' + i % 26)).ok());
+      oids.push_back(*oid);
+    }
+    EXPECT_TRUE(osd->Sync().ok());
+    EXPECT_TRUE(osd->Write(oids[0], 0, overwrite).ok());
+    EXPECT_GT(osd->pager()->dirty_pages(), 4 * opts.pager_capacity_pages);
+    const uint64_t before = faulty->writes_attempted();
+    if (point != nullptr) point->Tear();
+    Status ck = osd->Checkpoint();
+    if (point == nullptr) {
+      EXPECT_TRUE(ck.ok()) << ck.ToString();
+    }
+    const uint64_t writes = faulty->writes_attempted() - before;
+    if (point != nullptr) point->Crash();
+    return writes;
+  };
+
+  uint64_t checkpoint_writes = 0;
+  test::RunTornWriteCrash(
+      kDev, 0,
+      [&](const std::shared_ptr<FaultyBlockDevice>& faulty, test::CrashPoint*) {
+        checkpoint_writes = run(faulty, nullptr);
+      },
+      [](const std::shared_ptr<MemoryBlockDevice>&) {});
+  ASSERT_GT(checkpoint_writes, 4u);
+
+  for (int64_t budget = 0; budget < static_cast<int64_t>(checkpoint_writes); budget++) {
+    test::RunTornWriteCrash(
+        kDev, budget,
+        [&](const std::shared_ptr<FaultyBlockDevice>& faulty, test::CrashPoint* point) {
+          run(faulty, point);
+        },
+        [&](const std::shared_ptr<MemoryBlockDevice>& base) {
+          auto reopened = Osd::Open(base, opts);
+          ASSERT_TRUE(reopened.ok())
+              << "budget " << budget << ": " << reopened.status().ToString();
+          ASSERT_EQ((*reopened)->object_count(), oids.size()) << "budget " << budget;
+          for (int i = 1; i < kObjects; i++) {
+            const std::string want = payload(i, 'a' + i % 26);
+            std::string out;
+            ASSERT_TRUE((*reopened)->Read(oids[i], 0, want.size() + 16, &out).ok())
+                << "budget " << budget << " object " << i;
+            ASSERT_EQ(out, want) << "budget " << budget << " object " << i;
+          }
+          std::string after = payload(0, 'a');
+          after.replace(0, overwrite.size(), overwrite);
+          std::string out;
+          ASSERT_TRUE((*reopened)->Read(oids[0], 0, after.size() + 16, &out).ok());
+          if (budget == 0) {
+            EXPECT_TRUE(out == after || out == payload(0, 'a')) << "budget 0";
+          } else {
+            EXPECT_TRUE(out == after) << "budget " << budget << ": not the after state";
+          }
+        });
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(IoThreads, LargeCheckpointTearTest, ::testing::Values(0, 2),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return "io_threads_" + std::to_string(info.param);
+                         });
+
 TEST(OsdTest, PersistsAcrossCleanReopen) {
   auto dev = std::make_shared<MemoryBlockDevice>(kDev);
   ObjectId oid;
@@ -743,7 +839,7 @@ TEST(OsdFaultSweepTest, TransientReadBurstsAtEveryOffsetAreAbsorbed) {
   auto faulty = std::make_shared<FaultyBlockDevice>(base);
   OsdOptions opts;
   opts.io_threads = 0;
-  opts.pager_capacity_pages = 16;
+  opts.pager_capacity_pages = 8;
   auto osd = MakeOsd(faulty, opts);
   ASSERT_NE(osd, nullptr);
 

@@ -5,6 +5,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -158,7 +159,11 @@ struct SystemWorkload {
   uint64_t seed;
   int ops;
   bool journaling;
+  // Explicit, zeroed padding: gtest names each case by the struct's raw bytes, and
+  // implicit padding (uninitialised) gave the case a new name on every run.
+  char padding[3] = {};
 };
+static_assert(std::has_unique_object_representations_v<SystemWorkload>);
 
 class SystemPropertyTest : public ::testing::TestWithParam<SystemWorkload> {};
 

@@ -4,12 +4,18 @@
 Usage: check_metrics_schema.py <metrics.json>
 
 Pins the schema described in docs/OBSERVABILITY.md: required top-level keys,
-the minimum histogram/gauge sets the acceptance criteria name, and the shape of
-every histogram entry and lock-stats block. Stdlib only (json) so it runs in
-any CI image with python3.
+the minimum histogram/gauge sets the acceptance criteria name, the shape of
+every histogram entry and lock-stats block, and the counter names (read from
+the doc's counter list, so a counter added without documenting it fails).
+Stdlib only (json, re) so it runs in any CI image with python3.
 """
 import json
+import os
+import re
 import sys
+
+DOC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "docs",
+                   "OBSERVABILITY.md")
 
 REQUIRED_TOP = ["schema_version", "scope", "counters", "histograms", "gauges", "locks"]
 
@@ -92,6 +98,27 @@ def check_lock_block(name, block):
                 fail(f"locks.{name}.top_contended entry missing int '{field}'")
 
 
+def documented_counters():
+    """Counter names listed in the doc's "## Counters" section.
+
+    A counter list is a paragraph made only of backticked names separated by
+    commas and ending in a period; other paragraphs of the section are prose.
+    """
+    with open(DOC) as f:
+        text = f.read()
+    m = re.search(r"^## Counters.*?$(.*?)(?=^## )", text, re.S | re.M)
+    if not m:
+        fail(f"no '## Counters' section in {DOC}")
+    names = set()
+    for para in re.split(r"\n\s*\n", m.group(1)):
+        flat = " ".join(para.split())
+        if re.fullmatch(r"(`[a-z0-9_]+`, )*`[a-z0-9_]+`\.", flat):
+            names.update(re.findall(r"`([a-z0-9_]+)`", flat))
+    if not names:
+        fail(f"no counter list found under '## Counters' in {DOC}")
+    return names
+
+
 def main():
     if len(sys.argv) != 2:
         fail(f"usage: {sys.argv[0]} <metrics.json>")
@@ -109,6 +136,12 @@ def main():
     counters = doc["counters"]
     if not counters or not all(isinstance(v, int) for v in counters.values()):
         fail("counters must be a non-empty object of integers")
+    undocumented = sorted(set(counters) - documented_counters())
+    if undocumented:
+        fail(
+            f"counter(s) {undocumented} missing from the counter list in "
+            "docs/OBSERVABILITY.md"
+        )
 
     hists = doc["histograms"]
     for name in REQUIRED_HISTOGRAMS:
