@@ -1,13 +1,10 @@
-// Lazy background tag indexing (§3.4 applied to the namespace): tag-storm ingest
-// throughput with inline posting updates vs. journaled intents drained by the
-// background bulk indexer, plus the strict/relaxed read-visibility cost.
+// Tag indexing: tag-storm ingest throughput (tags apply inline, both halves before the
+// ack), plus the strict/relaxed read-visibility cost of full-text queries, whose
+// indexing is lazy (§3.4).
 //
-// The headline comparison (BM_TagStormIngest) runs against a posting index that does
-// NOT fit the page cache, on a device that charges a seek per read: that is the regime
-// the lazy design targets — the inline path pays a cold posting-btree descent before it
-// can acknowledge, the lazy path acknowledges at journal + reverse-map speed and the
-// descent happens behind the ack. The *Warm variants keep everything RAM-resident to
-// show the floor: when the index is cached, deferral buys little and costs nothing.
+// BM_TagStormIngest runs against a posting index that does NOT fit the page cache, on a
+// device that charges a seek per read, so every ack pays a cold posting-btree descent.
+// The *Warm variants keep everything RAM-resident to show the floor.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -64,15 +61,8 @@ class SeekChargedDevice : public BlockDevice {
   std::chrono::microseconds seek_;
 };
 
-std::unique_ptr<FileSystem> MakeFs(bool lazy_tags) {
-  FileSystemOptions options;
-  options.lazy_tag_indexing = lazy_tags;
-  // A deep queue: the bench measures acknowledge throughput (the relaxed-mode ingest
-  // win), not worker backpressure.
-  options.tag_intent_queue_capacity = 1 << 16;
-  return std::move(FileSystem::Create(std::make_shared<MemoryBlockDevice>(kDev),
-                                      options))
-      .value();
+std::unique_ptr<FileSystem> MakeFs() {
+  return std::move(FileSystem::Create(std::make_shared<MemoryBlockDevice>(kDev))).value();
 }
 
 // Values padded so the seeded posting tree spans thousands of leaves — more leaves
@@ -89,12 +79,9 @@ constexpr int kStormOids = 16;
 
 // Tag-storm ingest, cold index: acknowledged AddTag throughput against a pre-seeded
 // 100k-posting UDEF index reopened with a 256-page cache on a 25us-per-read device.
-// Arg(0) = inline (every ack pays a cold posting-btree descent), Arg(1) = lazy (ack is
-// journal append + reverse-map insert; the descent happens behind the ack and is
-// drained untimed). Iteration count is pinned so every repetition measures the same
-// cold burst rather than auto-scaling into a warmed cache.
+// Every ack pays a cold posting-btree descent. Iteration count is pinned so every
+// repetition measures the same cold burst rather than auto-scaling into a warmed cache.
 void BM_TagStormIngest(benchmark::State& state) {
-  const bool lazy = state.range(0) != 0;
   auto base = std::make_shared<MemoryBlockDevice>(kDev);
   auto device =
       std::make_shared<SeekChargedDevice>(base, std::chrono::microseconds(25));
@@ -120,8 +107,6 @@ void BM_TagStormIngest(benchmark::State& state) {
   }
 
   FileSystemOptions options;
-  options.lazy_tag_indexing = lazy;
-  options.tag_intent_queue_capacity = 1 << 16;
   options.osd.pager_capacity_pages = 256;
   auto fs = std::move(FileSystem::Open(device, options)).value();
   std::vector<ObjectId> oids;
@@ -136,23 +121,17 @@ void BM_TagStormIngest(benchmark::State& state) {
         fs->AddTag(oid, {"UDEF", PaddedValue(rng.Uniform(kSeedPostings))}).ok());
     i++;
   }
-  (void)fs->WaitForIndexing();  // Untimed: relaxed mode's deferred work.
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel(lazy ? "lazy (relaxed ack)" : "inline");
 }
 BENCHMARK(BM_TagStormIngest)
-    ->Arg(0)
-    ->Arg(1)
     ->Iterations(4096)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 
-// Tag-storm ingest, warm index: same comparison with everything RAM-resident and the
-// posting tree growing from empty. This is the floor for the lazy win — when every
-// descent is a cache hit, deferral saves only the descent's CPU.
+// Tag-storm ingest, warm index: everything RAM-resident and the posting tree growing
+// from empty, so every descent is a cache hit.
 void BM_TagStormIngestWarm(benchmark::State& state) {
-  const bool lazy = state.range(0) != 0;
-  auto fs = MakeFs(lazy);
+  auto fs = MakeFs();
   std::vector<ObjectId> oids;
   for (int i = 0; i < 1024; i++) {
     oids.push_back(*fs->Create());
@@ -164,17 +143,13 @@ void BM_TagStormIngestWarm(benchmark::State& state) {
         fs->AddTag(oid, {"UDEF", "storm" + std::to_string(i)}).ok());
     i++;
   }
-  (void)fs->WaitForIndexing();  // Untimed: relaxed mode's deferred work.
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel(lazy ? "lazy (relaxed ack)" : "inline");
 }
-BENCHMARK(BM_TagStormIngestWarm)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_TagStormIngestWarm)->Unit(benchmark::kMicrosecond);
 
-// Batched warm storm: NamespaceBatch commits of 16 adds — one journal record either
-// way; lazy additionally collapses the posting work into sorted bulk loads.
+// Batched warm storm: NamespaceBatch commits of 16 adds under one journal record.
 void BM_TagStormBatchedIngest(benchmark::State& state) {
-  const bool lazy = state.range(0) != 0;
-  auto fs = MakeFs(lazy);
+  auto fs = MakeFs();
   std::vector<ObjectId> oids;
   for (int i = 0; i < 1024; i++) {
     oids.push_back(*fs->Create());
@@ -189,22 +164,21 @@ void BM_TagStormBatchedIngest(benchmark::State& state) {
     benchmark::DoNotOptimize(batch.Commit().ok());
     i += 16;
   }
-  (void)fs->WaitForIndexing();
   state.SetItemsProcessed(state.iterations() * 16);
-  state.SetLabel(lazy ? "lazy (relaxed ack)" : "inline");
 }
-BENCHMARK(BM_TagStormBatchedIngest)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_TagStormBatchedIngest)->Unit(benchmark::kMicrosecond);
 
-// Read-side visibility cost on a quiescent lazy volume: strict pays one horizon check
-// per queried tag, relaxed none. Both should be within noise of each other once the
-// queue is drained — the point is that strict is cheap when there is nothing to wait
-// for.
+// Read-side visibility cost of a full-text query on a quiescent volume: strict pays one
+// indexer horizon check, relaxed none. Both should be within noise of each other once
+// the queue is drained — the point is that strict is cheap when there is nothing to
+// wait for.
 void BM_FindVisibility(benchmark::State& state) {
   const bool strict = state.range(0) != 0;
-  auto fs = MakeFs(true);
+  auto fs = MakeFs();
   for (int i = 0; i < 4096; i++) {
     auto oid = fs->Create();
-    (void)fs->AddTag(*oid, {"UDEF", "q" + std::to_string(i % 64)});
+    (void)fs->Write(*oid, 0, "q" + std::to_string(i % 64));
+    (void)fs->IndexContent(*oid);
   }
   (void)fs->WaitForIndexing();
   hfad::query::FindOptions options;
@@ -212,7 +186,7 @@ void BM_FindVisibility(benchmark::State& state) {
                               : hfad::query::Visibility::kRelaxed;
   Random rng(9);
   for (auto _ : state) {
-    auto page = fs->Find(hfad::Slice("UDEF:q" + std::to_string(rng.Uniform(64))),
+    auto page = fs->Find(hfad::Slice("FULLTEXT:q" + std::to_string(rng.Uniform(64))),
                          options);
     benchmark::DoNotOptimize(page.ok());
   }

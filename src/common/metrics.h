@@ -31,7 +31,7 @@ enum class Hist : int {
   kJournalCommit,   // Journal leader Write+Sync (the group-commit fsync section).
   kPageRead,        // Pager miss servicing (device read + frame install).
   kCheckpoint,      // Osd::CheckpointLocked end-to-end.
-  kIndexerApply,    // LazyTagIndexer background batch application.
+  kIndexerApply,    // ContentIndexer background batch application.
   kNumHists,        // Sentinel.
 };
 

@@ -26,9 +26,8 @@ constexpr uint8_t kNsUnindexContent = 4;
 // kNsAddTag/kNsRemoveTag sub-record. The journal's record-level atomicity is what makes
 // the batch recover as a unit.
 constexpr uint8_t kNsBatch = 5;
-// A lazy-mode tag intent: same framing as kNsBatch (varint count + sub-records), but
-// replay applies only the reverse-map half inline and hands the forward posting-store
-// half back to the background indexer queue instead of the posting btrees.
+// A tag intent from volumes written with lazy tag indexing, which no longer exists:
+// same framing as kNsBatch and replayed exactly like it. Never written.
 constexpr uint8_t kNsIndexIntent = 6;
 
 // Reverse-map btree roots, one named root per shard ("core/reverse-tags/<shard>").
@@ -69,13 +68,15 @@ TagValue DecodeNameSuffix(Slice rest) {
   return tv;
 }
 
-// The reverse-map key an intent maintains. A content intent's value is the document,
-// so its key is the object's FULLTEXT marker ("content indexed"), whatever the text.
-std::string IntentReverseKey(ObjectId oid, const TagValue& name) {
-  if (name.tag == index::kTagFulltext) {
-    return ReverseKey(oid, TagValue{name.tag, ""});
+// Set (`indexed`) or clear an object's FULLTEXT marker ("content indexed") in its
+// reverse-map shard.
+Status SetContentMarker(btree::BTree* reverse, ObjectId oid, bool indexed) {
+  const std::string key = ReverseKey(oid, TagValue{std::string(index::kTagFulltext), ""});
+  if (indexed) {
+    return reverse->Put(key, Slice());
   }
-  return ReverseKey(oid, name);
+  Status s = reverse->Delete(key);
+  return s.IsNotFound() ? Status::Ok() : s;
 }
 
 ObjectId OidFromKey(Slice key) {
@@ -106,16 +107,23 @@ bool TaggableTag(const std::string& tag) {
   return tag != index::kTagFulltext && tag != index::kTagId;
 }
 
-// Every tag the expression touches (including under NOT: a stale negated posting is
-// just as wrong as a stale positive one) — the strict-visibility wait set.
-void CollectQueryTags(const query::Expr& e, std::vector<std::string>* out) {
+std::string EncodeContentRecord(ObjectId oid, const std::string& document) {
+  return EncodeOidRecord(document.empty() ? kNsUnindexContent : kNsIndexContent, oid);
+}
+
+// True when the expression reads FULLTEXT anywhere (including under NOT: a stale
+// negated posting is just as wrong as a stale positive one) — the strict-visibility
+// wait condition.
+bool TouchesFulltext(const query::Expr& e) {
   if (e.kind == query::Expr::Kind::kTerm || e.kind == query::Expr::Kind::kPrefix) {
-    out->push_back(e.tag);
-    return;
+    return e.tag == index::kTagFulltext;
   }
   for (const auto& child : e.children) {
-    CollectQueryTags(*child, out);
+    if (TouchesFulltext(*child)) {
+      return true;
+    }
   }
+  return false;
 }
 
 }  // namespace
@@ -123,9 +131,8 @@ void CollectQueryTags(const query::Expr& e, std::vector<std::string>* out) {
 // ---------------------------------------------------------------- construction
 
 FileSystem::FileSystem(std::unique_ptr<osd::OsdCluster> cluster,
-                       std::unique_ptr<index::IndexCollection> indexes,
-                       const FileSystemOptions& options)
-    : options_(options), cluster_(std::move(cluster)), osd_(cluster_->meta()),
+                       std::unique_ptr<index::IndexCollection> indexes)
+    : cluster_(std::move(cluster)), osd_(cluster_->meta()),
       indexes_(std::move(indexes)) {
   for (size_t shard = 0; shard < kTagShards; shard++) {
     auto root = osd_->GetNamedRoot(ReverseRootName(shard));
@@ -134,21 +141,20 @@ FileSystem::FileSystem(std::unique_ptr<osd::OsdCluster> cluster,
                                                           reverse_[shard].root);
   }
   query_engine_ = std::make_unique<query::QueryEngine>(indexes_.get());
-  tag_indexer_ = std::make_unique<LazyTagIndexer>(indexes_.get(),
-                                                  options_.tag_intent_queue_capacity);
+  indexer_ = std::make_unique<ContentIndexer>(indexes_->store(index::kTagFulltext));
 }
 
 FileSystem::~FileSystem() {
   // Apply what we can (Drain returns immediately while a test holds the queue
   // paused)...
-  (void)tag_indexer_->Drain();
+  (void)indexer_->Drain();
   // ...then checkpoint: anything still unapplied rides the pending set via the
   // checkpoint provider and is re-seeded on the next Open.
   (void)Checkpoint();
   // The OSD's own close-time checkpoint must not call back into a dead indexer; the
   // pending set it would have persisted is exactly what the line above persisted.
   cluster_->SetUnappliedForeignProvider(nullptr);
-  tag_indexer_.reset();
+  indexer_.reset();
 }
 
 namespace {
@@ -183,8 +189,8 @@ Result<std::unique_ptr<FileSystem>> FileSystem::Create(
   HFAD_ASSIGN_OR_RETURN(std::unique_ptr<index::IndexCollection> indexes,
                         index::IndexCollection::Mount(cluster->meta()));
   std::unique_ptr<FileSystem> fs(
-      new FileSystem(std::move(cluster), std::move(indexes), options));
-  HFAD_RETURN_IF_ERROR(fs->AdoptRecoveredIntents({}));
+      new FileSystem(std::move(cluster), std::move(indexes)));
+  fs->AdoptRecoveredContent({});
   return fs;
 }
 
@@ -199,11 +205,11 @@ Result<std::unique_ptr<FileSystem>> FileSystem::Open(
     std::vector<std::shared_ptr<BlockDevice>> devices, FileSystemOptions options) {
   HFAD_RETURN_IF_ERROR(ValidateShardCount(devices.size(), options.shard_count));
   // Namespace records replay through a lazily-mounted index collection on the metadata
-  // shard; the collection is then adopted by the FileSystem. Index intents (journaled-
-  // but-possibly-unapplied tag and content mutations) accumulate here: their reverse-map
-  // half replays inline, their store half is handed to AdoptRecoveredIntents after
+  // shard; the collection is then adopted by the FileSystem. Content intents (journaled-
+  // but-possibly-unapplied IndexContent and strips) accumulate here: their reverse-map
+  // marker replays inline, their store half is handed to AdoptRecoveredContent after
   // construction.
-  auto recovered = std::make_shared<std::vector<BatchOp>>();
+  auto recovered = std::make_shared<std::vector<ContentIndexer::Op>>();
   std::unique_ptr<index::IndexCollection> replay_indexes;
   auto hook = [&replay_indexes, recovered](osd::Osd* meta, osd::Osd* data,
                                            osd::OsdCluster* cluster, size_t shard,
@@ -216,11 +222,11 @@ Result<std::unique_ptr<FileSystem>> FileSystem::Open(
       // pending set. Each shard persists only the intents whose oid it owns.
       cluster->SetUnappliedForeignProvider([recovered, cluster](size_t s) {
         std::vector<std::string> payloads;
-        for (const BatchOp& op : *recovered) {
+        for (const ContentIndexer::Op& op : *recovered) {
           if (cluster->ShardOf(op.oid) != s) {
             continue;
           }
-          payloads.push_back(EncodeIntentRecord({op}));
+          payloads.push_back(EncodeContentRecord(op.oid, op.document));
         }
         return payloads;
       });
@@ -235,8 +241,8 @@ Result<std::unique_ptr<FileSystem>> FileSystem::Open(
     HFAD_ASSIGN_OR_RETURN(indexes, index::IndexCollection::Mount(cluster->meta()));
   }
   std::unique_ptr<FileSystem> fs(
-      new FileSystem(std::move(cluster), std::move(indexes), options));
-  HFAD_RETURN_IF_ERROR(fs->AdoptRecoveredIntents(std::move(*recovered)));
+      new FileSystem(std::move(cluster), std::move(indexes)));
+  fs->AdoptRecoveredContent(std::move(*recovered));
   return fs;
 }
 
@@ -273,33 +279,25 @@ Status FileSystem::ReplayTagOp(osd::Osd* meta, index::IndexCollection* indexes,
   return meta->SetNamedRoot(root_name, reverse.root());
 }
 
-// Replay the reverse-map half of one index intent. The store update is NOT applied
-// here — the live write path applied only the reverse map inline, so replay reproduces
+// Replay the reverse-map marker of one content intent. The store update is NOT applied
+// here — the live write path applied only the marker inline, so replay reproduces
 // exactly that state and leaves the store half to the queue.
-Status FileSystem::ReplayIntentReverse(osd::Osd* meta, index::IndexCollection* indexes,
-                                       uint8_t op, ObjectId oid, const TagValue& name) {
-  if (indexes->store(name.tag) == nullptr) {
-    return Status::Corruption("index intent for unknown store '" + name.tag + "'");
-  }
+Status FileSystem::ReplayContent(osd::Osd* meta, ObjectId oid, std::string document,
+                                 std::vector<ContentIndexer::Op>* recovered) {
   const std::string root_name = ReverseRootName(TagShardOf(oid));
   btree::BTree reverse(meta->pager(), meta->allocator(),
                        meta->GetNamedRoot(root_name).value_or(0));
-  if (op == kNsAddTag) {
-    HFAD_RETURN_IF_ERROR(reverse.Put(IntentReverseKey(oid, name), Slice()));
-  } else {
-    Status s = reverse.Delete(IntentReverseKey(oid, name));
-    if (!s.ok() && !s.IsNotFound()) {
-      return s;
-    }
-  }
-  return meta->SetNamedRoot(root_name, reverse.root());
+  HFAD_RETURN_IF_ERROR(SetContentMarker(&reverse, oid, !document.empty()));
+  HFAD_RETURN_IF_ERROR(meta->SetNamedRoot(root_name, reverse.root()));
+  recovered->push_back(ContentIndexer::Op{oid, std::move(document)});
+  return Status::Ok();
 }
 
 Status FileSystem::ApplyNamespaceRecord(osd::Osd* meta, osd::Osd* data,
                                         const osd::OsdCluster* cluster, size_t shard,
                                         bool filter_to_shard,
                                         index::IndexCollection* indexes, Slice payload,
-                                        std::vector<BatchOp>* recovered) {
+                                        std::vector<ContentIndexer::Op>* recovered) {
   if (payload.empty()) {
     return Status::Corruption("empty namespace record");
   }
@@ -331,13 +329,8 @@ Status FileSystem::ApplyNamespaceRecord(osd::Osd* meta, osd::Osd* data,
       if (filter_to_shard && cluster->ShardOf(oid) != shard) {
         continue;
       }
-      TagValue name{tag.ToString(), value.ToString()};
-      if (op == kNsIndexIntent) {
-        HFAD_RETURN_IF_ERROR(ReplayIntentReverse(meta, indexes, sub_op, oid, name));
-        recovered->push_back(BatchOp{sub_op, oid, std::move(name)});
-      } else {
-        HFAD_RETURN_IF_ERROR(ReplayTagOp(meta, indexes, sub_op, oid, name));
-      }
+      HFAD_RETURN_IF_ERROR(
+          ReplayTagOp(meta, indexes, sub_op, oid, {tag.ToString(), value.ToString()}));
     }
     return Status::Ok();
   }
@@ -361,152 +354,61 @@ Status FileSystem::ApplyNamespaceRecord(osd::Osd* meta, osd::Osd* data,
         return Status::Ok();  // Object deleted later in the log.
       }
       HFAD_RETURN_IF_ERROR(size.status());
-      TagValue name{std::string(index::kTagFulltext), ""};
-      HFAD_RETURN_IF_ERROR(data->Read(oid, 0, *size, &name.value));
-      HFAD_RETURN_IF_ERROR(ReplayIntentReverse(meta, indexes, kNsAddTag, oid, name));
-      recovered->push_back(BatchOp{kNsAddTag, oid, std::move(name)});
-      return Status::Ok();
+      std::string document;
+      HFAD_RETURN_IF_ERROR(data->Read(oid, 0, *size, &document));
+      return ReplayContent(meta, oid, std::move(document), recovered);
     }
-    case kNsUnindexContent: {
-      TagValue name{std::string(index::kTagFulltext), ""};
-      HFAD_RETURN_IF_ERROR(ReplayIntentReverse(meta, indexes, kNsRemoveTag, oid, name));
-      recovered->push_back(BatchOp{kNsRemoveTag, oid, std::move(name)});
-      return Status::Ok();
-    }
+    case kNsUnindexContent:
+      return ReplayContent(meta, oid, std::string(), recovered);
     default:
       return Status::Corruption("unknown namespace record op " + std::to_string(op));
   }
 }
 
-std::string FileSystem::EncodeIntentRecord(const std::vector<BatchOp>& ops) {
-  if (ops.size() == 1 && ops[0].name.tag == index::kTagFulltext) {
-    return EncodeOidRecord(ops[0].op == kNsAddTag ? kNsIndexContent : kNsUnindexContent,
-                           ops[0].oid);
-  }
-  std::string rec;
-  rec.push_back(static_cast<char>(kNsIndexIntent));
-  PutVarint64(&rec, ops.size());
-  for (const BatchOp& op : ops) {
-    rec.push_back(static_cast<char>(op.op));
-    PutVarint64(&rec, op.oid);
-    PutLengthPrefixed(&rec, op.name.tag);
-    PutLengthPrefixed(&rec, op.name.value);
-  }
-  return rec;
-}
-
-Status FileSystem::AdoptRecoveredIntents(std::vector<BatchOp> recovered) {
-  std::vector<LazyTagIndexer::Op> iops;
-  std::vector<std::string> tags;  // Recovered tags other than FULLTEXT.
-  iops.reserve(recovered.size());
-  for (BatchOp& op : recovered) {
-    if (op.name.tag != index::kTagFulltext) {
-      tags.push_back(op.name.tag);
-    }
-    iops.push_back(LazyTagIndexer::Op{op.op == kNsAddTag, op.oid, std::move(op.name)});
-  }
-  tag_indexer_->Seed(std::move(iops));
+void FileSystem::AdoptRecoveredContent(std::vector<ContentIndexer::Op> recovered) {
+  indexer_->Seed(std::move(recovered));
   // Live provider: every checkpoint persists whatever the workers have not applied yet
   // (queue + in-flight), so acknowledged intents survive the journal reset that ends
   // the checkpoint. Re-applying an in-flight op after a crash is idempotent. Each
   // shard persists only the intents whose oid it owns — the shard whose journal
   // acknowledged them.
-  LazyTagIndexer* indexer = tag_indexer_.get();
+  ContentIndexer* indexer = indexer_.get();
   osd::OsdCluster* cluster = cluster_.get();
   cluster_->SetUnappliedForeignProvider([indexer, cluster](size_t shard) {
     std::vector<std::string> payloads;
-    for (LazyTagIndexer::Op& op : indexer->SnapshotUnapplied()) {
-      if (cluster->ShardOf(op.oid) != shard) {
-        continue;
+    for (const ContentIndexer::Op& op : indexer->SnapshotUnapplied()) {
+      if (cluster->ShardOf(op.oid) == shard) {
+        payloads.push_back(EncodeContentRecord(op.oid, op.document));
       }
-      payloads.push_back(EncodeIntentRecord(
-          {BatchOp{op.add ? kNsAddTag : kNsRemoveTag, op.oid, std::move(op.name)}}));
     }
     return payloads;
   });
-  if (options_.lazy_tag_indexing || tags.empty()) {
-    return Status::Ok();
-  }
-  // Inline tag indexing reads and writes the forward stores directly, so a lazily
-  // written volume's recovered tag intents must be applied before Open returns.
-  std::sort(tags.begin(), tags.end());
-  tags.erase(std::unique(tags.begin(), tags.end()), tags.end());
-  return tag_indexer_->WaitForTags(tags);
 }
 
-Status FileSystem::CommitIntents(const std::vector<BatchOp>& ops) {
-  std::vector<LazyTagIndexer::Op> iops;
-  iops.reserve(ops.size());
-  for (const BatchOp& op : ops) {
-    iops.push_back(LazyTagIndexer::Op{op.op == kNsAddTag, op.oid, op.name});
-  }
-  // Reserve BEFORE the journal append: ReserveSlots may block on the workers, and they
+Status FileSystem::CommitContent(ObjectId oid, std::string document) {
+  // Reserve BEFORE the journal append: ReserveSlot may block on the workers, and they
   // need the volume lock this append is about to take shared (a full queue under the
   // volume lock would deadlock against a waiting checkpoint).
-  const size_t n = iops.size();
-  tag_indexer_->ReserveSlots(n);
-  bool multi_shard = false;
-  if (cluster_->shard_count() > 1) {
-    const size_t first = cluster_->ShardOf(ops[0].oid);
-    for (const BatchOp& op : ops) {
-      if (cluster_->ShardOf(op.oid) != first) {
-        multi_shard = true;
-        break;
-      }
-    }
-  }
+  indexer_->ReserveSlot();
+  const bool indexed = !document.empty();
   uint64_t token = 0;
-  if (!multi_shard) {
-    // The enqueue rides the append's own volume-lock hold: a checkpoint either sees
-    // the record in the journal AND the ops in the queue, or neither — the invariant
-    // the pending-set persistence depends on.
-    Status s = cluster_->AppendForeign(
-        ops[0].oid, EncodeIntentRecord(ops),
-        [&] { tag_indexer_->EnqueueReserved(std::move(iops)); }, &token);
-    if (!s.ok()) {
-      tag_indexer_->ReleaseSlots(n);
-      return s;
-    }
-  } else {
-    // Cross-shard: the intent commits via the prepare/commit protocol, then enqueues.
-    // The gap between commit and enqueue is covered by the cluster's retention lists
-    // (the token is unmarked, so every participant's checkpoint persists the record).
-    std::vector<ObjectId> oids;
-    oids.reserve(ops.size());
-    for (const BatchOp& op : ops) {
-      oids.push_back(op.oid);
-    }
-    auto committed = cluster_->CommitForeignBatch(oids, EncodeIntentRecord(ops));
-    if (!committed.ok()) {
-      tag_indexer_->ReleaseSlots(n);
-      return committed.status();
-    }
-    tag_indexer_->EnqueueReserved(std::move(iops));
-    token = *committed;
+  // The enqueue rides the append's own volume-lock hold: a checkpoint either sees the
+  // record in the journal AND the op in the queue, or neither — the invariant the
+  // pending-set persistence depends on.
+  Status s = cluster_->AppendForeign(
+      oid, EncodeContentRecord(oid, document),
+      [&] { indexer_->EnqueueReserved(ContentIndexer::Op{oid, std::move(document)}); },
+      &token);
+  if (!s.ok()) {
+    indexer_->ReleaseSlot();
+    return s;
   }
-  // The reverse-map half, inline: naming state (Tags/HasName/Remove) and the content
-  // markers stay authoritative while the stores catch up in the background. Each
-  // touched shard's root is synced once.
+  // The marker, inline: Tags/HasName and fsck see the content as indexed while the
+  // store catches up in the background.
+  const size_t shard = TagShardOf(oid);
   auto hold = osd_->SharedVolumeHold();
-  std::vector<size_t> shards;
-  for (const BatchOp& op : ops) {
-    size_t shard = TagShardOf(op.oid);
-    shards.push_back(shard);
-    if (op.op == kNsAddTag) {
-      HFAD_RETURN_IF_ERROR(
-          reverse_[shard].tree->Put(IntentReverseKey(op.oid, op.name), Slice()));
-    } else {
-      Status s = reverse_[shard].tree->Delete(IntentReverseKey(op.oid, op.name));
-      if (!s.ok() && !s.IsNotFound()) {
-        return s;
-      }
-    }
-  }
-  std::sort(shards.begin(), shards.end());
-  shards.erase(std::unique(shards.begin(), shards.end()), shards.end());
-  for (size_t shard : shards) {
-    HFAD_RETURN_IF_ERROR(SyncReverseRoot(shard));
-  }
+  HFAD_RETURN_IF_ERROR(SetContentMarker(reverse_[shard].tree.get(), oid, indexed));
+  HFAD_RETURN_IF_ERROR(SyncReverseRoot(shard));
   cluster_->MarkForeignApplied(token);
   return Status::Ok();
 }
@@ -522,16 +424,12 @@ Result<query::FindPage> FileSystem::Find(const query::Expr& expr,
                                          const query::FindOptions& options) const {
   metrics::ScopedLatency latency(metrics::Hist::kFind);
   trace::OpScope op("find");
-  // Strict visibility: wait out the applied-sequence horizon of every tag the query
-  // touches before planning, so any mutation acknowledged before this call (content
-  // always; tags under lazy tag indexing) is in the postings the plan reads. Relaxed
-  // skips straight to the current postings.
-  if (options.visibility == query::Visibility::kStrict) {
-    std::vector<std::string> tags;
-    CollectQueryTags(expr, &tags);
-    std::sort(tags.begin(), tags.end());
-    tags.erase(std::unique(tags.begin(), tags.end()), tags.end());
-    HFAD_RETURN_IF_ERROR(tag_indexer_->WaitForTags(tags));
+  // Strict visibility: a query that reads FULLTEXT first waits out the indexer's
+  // applied horizon, so every IndexContent acknowledged before this call is in the
+  // postings the plan reads. Tags apply inline, so other queries never touch the
+  // indexer. Relaxed skips straight to the current postings.
+  if (options.visibility == query::Visibility::kStrict && TouchesFulltext(expr)) {
+    HFAD_RETURN_IF_ERROR(indexer_->WaitForContent());
   }
   if (options.explain == nullptr) {
     HFAD_ASSIGN_OR_RETURN(auto it, query_engine_->planner().Plan(expr, options.stats));
@@ -665,8 +563,7 @@ Status FileSystem::Remove(ObjectId oid) {
   // worker, so the strip applies after any snapshot of it still queued.
   {
     auto lock = tag_mu_.LockExclusive(oid);
-    HFAD_RETURN_IF_ERROR(
-        CommitIntents({BatchOp{kNsRemoveTag, oid, {std::string(index::kTagFulltext), ""}}}));
+    HFAD_RETURN_IF_ERROR(CommitContent(oid, std::string()));
   }
   return cluster_->DeleteObject(oid);
 }
@@ -722,9 +619,6 @@ Status FileSystem::AddTag(ObjectId oid, const TagValue& name) {
 
 Status FileSystem::AddTagValidated(ObjectId oid, const TagValue& name) {
   auto lock = tag_mu_.LockExclusive(oid);
-  if (options_.lazy_tag_indexing) {
-    return CommitIntents({BatchOp{kNsAddTag, oid, name}});
-  }
   uint64_t token = 0;
   if (osd_->journaling_enabled()) {
     HFAD_RETURN_IF_ERROR(
@@ -749,9 +643,6 @@ Status FileSystem::RemoveTag(ObjectId oid, const TagValue& name) {
   if (!reverse_[TagShardOf(oid)].tree->Contains(ReverseKey(oid, name))) {
     return Status::NotFound("object " + std::to_string(oid) + " has no name " + name.tag +
                             ":" + name.value);
-  }
-  if (options_.lazy_tag_indexing) {
-    return CommitIntents({BatchOp{kNsRemoveTag, oid, name}});
   }
   uint64_t token = 0;
   if (osd_->journaling_enabled()) {
@@ -788,10 +679,6 @@ Status FileSystem::CommitBatch(const std::vector<BatchOp>& ops) {
       return Status::NotFound("object " + std::to_string(op.oid) + " has no name " +
                               op.name.tag + ":" + op.name.value);
     }
-  }
-  if (options_.lazy_tag_indexing) {
-    // ONE intent record + one enqueue for the whole batch (see CommitIntents).
-    return CommitIntents(ops);
   }
   uint64_t token = 0;
   if (osd_->journaling_enabled()) {
@@ -896,22 +783,19 @@ Status FileSystem::IndexContent(ObjectId oid) {
   }
   auto lock = tag_mu_.LockExclusive(oid);
   // Snapshot the content now so later writes do not race the background workers; they
-  // index exactly these bytes.
+  // index exactly these bytes. An empty object has nothing to find: it is stripped.
   HFAD_ASSIGN_OR_RETURN(uint64_t size, cluster_->Size(oid));
-  TagValue document{std::string(index::kTagFulltext), ""};
-  HFAD_RETURN_IF_ERROR(cluster_->Read(oid, 0, size, &document.value));
-  return CommitIntents({BatchOp{kNsAddTag, oid, std::move(document)}});
+  std::string document;
+  HFAD_RETURN_IF_ERROR(cluster_->Read(oid, 0, size, &document));
+  return CommitContent(oid, std::move(document));
 }
 
-Status FileSystem::WaitForIndexing() { return tag_indexer_->Drain(); }
+Status FileSystem::WaitForIndexing() { return indexer_->Drain(); }
 
-std::vector<std::pair<ObjectId, TagValue>> FileSystem::PendingIndexIntents() const {
-  std::vector<std::pair<ObjectId, TagValue>> out;
-  for (LazyTagIndexer::Op& op : tag_indexer_->SnapshotUnapplied()) {
-    if (op.name.tag == index::kTagFulltext) {
-      op.name.value.clear();  // Reported as the content marker, not the document.
-    }
-    out.emplace_back(op.oid, std::move(op.name));
+std::vector<ObjectId> FileSystem::PendingContentIntents() const {
+  std::vector<ObjectId> out;
+  for (const ContentIndexer::Op& op : indexer_->SnapshotUnapplied()) {
+    out.push_back(op.oid);
   }
   return out;
 }
@@ -998,7 +882,7 @@ std::string FileSystem::DumpMetrics() const {
   w.Key("io_completed").Value(io_completed);
   w.Key("io_in_flight").Value(io_in_flight);
   w.Key("io_max_queue_depth").Value(io_max_qd);
-  w.Key("indexer_queue_depth").Value(static_cast<uint64_t>(tag_indexer_->PendingCount()));
+  w.Key("indexer_queue_depth").Value(static_cast<uint64_t>(indexer_->PendingCount()));
   w.Key("checkpointer_state").Value(static_cast<int64_t>(osd_->checkpointer_state()));
   w.Key("object_count").Value(cluster_->object_count());
   w.Key("shard_count").Value(static_cast<uint64_t>(cluster_->shard_count()));

@@ -19,9 +19,10 @@
 // Content indexing follows §3.4: "we use background threads to perform lazy full-text
 // indexing." IndexContent(oid) snapshots the object's bytes and journals an index intent
 // whose op carries the snapshot to the FileSystem's one background indexer
-// (LazyTagIndexer), which applies batches of them through the full-text store's
-// ApplyBatch. Strict Find and SearchText wait for every acknowledged IndexContent;
-// WaitForIndexing() drains the whole queue.
+// (ContentIndexer), which applies batches of them through the full-text store's
+// ApplyBatch. Strict Find and SearchText wait for every acknowledged IndexContent when
+// the query touches FULLTEXT; WaitForIndexing() drains the whole queue. Tag mutations
+// apply inline: both halves (forward index and reverse map) before they return.
 //
 // Open question #2 ("extend the notion of a current directory to be an iterative
 // refinement of a search") is implemented by SearchCursor: a stack of refinements whose
@@ -37,7 +38,7 @@
 #include "src/common/sharded_lock.h"
 #include "src/common/slice.h"
 #include "src/common/status.h"
-#include "src/core/lazy_tag_indexer.h"
+#include "src/core/content_indexer.h"
 #include "src/fulltext/fulltext.h"
 #include "src/index/index_store.h"
 #include "src/osd/osd.h"
@@ -53,17 +54,6 @@ using index::TagValue;
 
 struct FileSystemOptions {
   osd::OsdOptions osd;
-  // Lazy TAG indexing (§3.4 generalized to the namespace itself): tag mutations journal
-  // an intent, update the reverse map inline, and return; a background worker applies
-  // the forward posting-store updates in sorted bulk batches. Readers choose per query
-  // between strict (wait for the horizon) and relaxed (current postings) visibility via
-  // query::FindOptions::visibility. Acknowledged intents survive crashes: recovery
-  // rebuilds the unapplied queue from the journal and the checkpoint's pending set.
-  // Content indexing is always lazy, whatever this says.
-  bool lazy_tag_indexing = false;
-  // Bound on acknowledged-but-unapplied index intents (tags and content); mutators
-  // block past it.
-  size_t tag_intent_queue_capacity = 4096;
   // Number of OSD shards (ROADMAP item 1). 1 (the default) is today's single-volume
   // behavior, byte-compatible with existing volumes; 0 means one shard per device
   // passed to the multi-device Create/Open. Any other value must match the device
@@ -185,21 +175,18 @@ class FileSystem {
   // SearchText see it; relaxed readers once it is applied.
   Status IndexContent(ObjectId oid);
 
-  // Drain the background indexer: wait until every intent (tag or content)
-  // acknowledged before the call is applied to the stores. Returns the indexer's
-  // sticky first application error.
+  // Drain the background indexer: wait until every content intent acknowledged
+  // before the call is applied to the full-text store. Returns the indexer's sticky
+  // first application error.
   Status WaitForIndexing();
 
-  // Intents journaled/acknowledged but not yet applied to the stores (queue +
-  // in-flight), for fsck's orphan suppression. A content intent is reported as the
-  // marker name {FULLTEXT, ""}.
-  std::vector<std::pair<ObjectId, TagValue>> PendingIndexIntents() const;
-
-  // True when tag mutations defer forward posting updates to the background indexer.
-  bool lazy_tag_indexing() const { return options_.lazy_tag_indexing; }
+  // Objects whose content intent (IndexContent or Remove's strip) is acknowledged but
+  // not yet applied to the full-text store (queue + in-flight), one entry per intent,
+  // for fsck's pending-content allowance.
+  std::vector<ObjectId> PendingContentIntents() const;
 
   // Crash/concurrency test support: pin the indexer queue in a chosen drain state.
-  LazyTagIndexer* tag_indexer_for_testing() { return tag_indexer_.get(); }
+  ContentIndexer* content_indexer_for_testing() { return indexer_.get(); }
 
   // ---- Access interfaces (§3.1.2) ----
 
@@ -240,12 +227,9 @@ class FileSystem {
   friend class NamespaceBatch;
 
   FileSystem(std::unique_ptr<osd::OsdCluster> cluster,
-             std::unique_ptr<index::IndexCollection> indexes,
-             const FileSystemOptions& options);
+             std::unique_ptr<index::IndexCollection> indexes);
 
   // One staged namespace mutation (NamespaceBatch's unit; also the journal sub-record).
-  // An op on the FULLTEXT tag is a content intent: add carries the document snapshot as
-  // its value, remove strips the document.
   struct BatchOp {
     uint8_t op;  // kNsAddTag or kNsRemoveTag (filesystem.cc record constants).
     ObjectId oid;
@@ -263,41 +247,34 @@ class FileSystem {
   // record came from (object content reads for kNsIndexContent) — the same Osd on a
   // single-shard filesystem. When `filter_to_shard` is set the payload is a cross-shard
   // batch redone on one participant: only sub-ops whose oid is owned by `shard` apply.
-  // Index intents (lazy tag records and content records) replay their reverse-map half
+  // Tag records apply both halves. Content records replay their reverse-map marker
   // inline and append the deferred store half to `recovered`.
   static Status ApplyNamespaceRecord(osd::Osd* meta, osd::Osd* data,
                                      const osd::OsdCluster* cluster, size_t shard,
                                      bool filter_to_shard,
                                      index::IndexCollection* indexes, Slice payload,
-                                     std::vector<BatchOp>* recovered);
+                                     std::vector<ContentIndexer::Op>* recovered);
 
   // Replay one add/remove association (single-tag records and batch sub-records). All
   // namespace state lives on `meta`.
   static Status ReplayTagOp(osd::Osd* meta, index::IndexCollection* indexes, uint8_t op,
                             ObjectId oid, const TagValue& name);
 
-  // Replay the reverse-map half of one index intent (the inline half of the lazy
-  // write path; the forward half is what `recovered` carries out of replay).
-  static Status ReplayIntentReverse(osd::Osd* meta, index::IndexCollection* indexes,
-                                    uint8_t op, ObjectId oid, const TagValue& name);
-
-  // Serialize ops as one journal payload: a content intent (one FULLTEXT op) as an
-  // oid-only kNsIndexContent/kNsUnindexContent record, whose redo re-reads the object;
-  // tag intents as one kNsIndexIntent record.
-  static std::string EncodeIntentRecord(const std::vector<BatchOp>& ops);
+  // Replay the reverse-map half of one content intent: set the object's FULLTEXT
+  // marker when `document` is non-empty, clear it otherwise, and append the deferred
+  // store half to `recovered`.
+  static Status ReplayContent(osd::Osd* meta, ObjectId oid, std::string document,
+                              std::vector<ContentIndexer::Op>* recovered);
 
   // Post-recovery hand-off: seed the background queue, then install the live
-  // checkpoint provider. With inline tag indexing, waits until the recovered tag
-  // intents are applied, so the forward stores are current when Open returns.
-  Status AdoptRecoveredIntents(std::vector<BatchOp> recovered);
+  // checkpoint provider.
+  void AdoptRecoveredContent(std::vector<ContentIndexer::Op> recovered);
 
-  // The deferred write path (content intents, and tag mutations under lazy tag
-  // indexing): reserve queue slots, journal ONE intent record — on the owning shard
-  // with the enqueue riding the same journal-lock hold when all ops share an owner, or
-  // via the cluster's cross-shard prepare/commit protocol (the retention lists carry
-  // the records over the enqueue gap) when they do not — then apply the reverse-map
-  // half inline and mark the record applied. Caller holds every involved tag shard.
-  Status CommitIntents(const std::vector<BatchOp>& ops);
+  // The deferred content path: reserve a queue slot, journal one oid-only content
+  // record on the owning shard with the enqueue riding the same journal-lock hold, then
+  // set or clear the FULLTEXT marker inline and mark the record applied. An empty
+  // `document` strips the object. Caller holds the oid's tag shard.
+  Status CommitContent(ObjectId oid, std::string document);
 
   // AddTag minus the tag/store/existence validation, for callers (Create) that have
   // already established those invariants.
@@ -326,12 +303,11 @@ class FileSystem {
   // and the metadata volume's SharedVolumeHold across the tree write and this sync.
   Status SyncReverseRoot(size_t shard);
 
-  const FileSystemOptions options_;
   std::unique_ptr<osd::OsdCluster> cluster_;
   osd::Osd* osd_ = nullptr;  // cluster_->meta(): the shard namespace state lives on.
   std::unique_ptr<index::IndexCollection> indexes_;
   std::unique_ptr<query::QueryEngine> query_engine_;
-  std::unique_ptr<LazyTagIndexer> tag_indexer_;  // The one background indexer.
+  std::unique_ptr<ContentIndexer> indexer_;  // The one background indexer.
 
   mutable ShardedMutex<kTagShards> tag_mu_;
   std::array<ReverseShard, kTagShards> reverse_;
@@ -372,7 +348,7 @@ class SearchCursor {
   size_t depth() const { return path_.size(); }
 
   // Read visibility used by Results(); ResultsPage callers carry their own choice in
-  // FindOptions::visibility. Meaningful only under lazy tag indexing (query::Visibility).
+  // FindOptions::visibility. Meaningful only for FULLTEXT terms (query::Visibility).
   void set_visibility(query::Visibility v) { visibility_ = v; }
   query::Visibility visibility() const { return visibility_; }
 

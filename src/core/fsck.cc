@@ -7,20 +7,6 @@
 namespace hfad {
 namespace core {
 
-namespace {
-
-// Key for the pending-intent suppression set: (oid, tag, value).
-std::string PendingKey(ObjectId oid, const TagValue& name) {
-  std::string key = std::to_string(oid);
-  key.push_back('\0');
-  key += name.tag;
-  key.push_back('\0');
-  key += name.value;
-  return key;
-}
-
-}  // namespace
-
 std::string FsckReport::ToString() const {
   std::string out = "fsck: " + std::to_string(objects_checked) + " objects, " +
                     std::to_string(names_checked) + " names, " +
@@ -67,17 +53,13 @@ Result<FsckReport> CheckFileSystem(FileSystem* fs) {
     }
   }
 
-  // The stores legitimately trail the reverse map by exactly the acknowledged-but-
-  // unapplied intents (content always, tags under lazy tag indexing). Snapshot that set
-  // ONCE, before the phases below probe anything: the background workers may apply ops
-  // mid-scan, and a pre-phase snapshot can only over-suppress a transiently-stale pair,
-  // never report a phantom orphan. Pairs with any pending intent (add or remove) are
-  // skipped in both directions; a content intent is keyed as the marker name.
-  std::set<std::string> pending;
-  for (const auto& [oid, name] : fs->PendingIndexIntents()) {
-    pending.insert(PendingKey(oid, name));
-  }
-  const TagValue content_marker{std::string(index::kTagFulltext), ""};
+  // The full-text store legitimately trails the FULLTEXT markers by exactly the
+  // acknowledged-but-unapplied content intents; tags apply inline and get no such
+  // allowance. Snapshot that set ONCE, before the phases below probe anything: the
+  // background workers may apply ops mid-scan, and a pre-phase snapshot can only
+  // over-allow a transiently-stale object, never report a phantom problem.
+  const std::vector<ObjectId> pending_list = fs->PendingContentIntents();
+  const std::set<ObjectId> pending(pending_list.begin(), pending_list.end());
   auto* ft = static_cast<index::FullTextIndexStore*>(indexes->store(index::kTagFulltext));
   std::set<ObjectId> documents;
   HFAD_RETURN_IF_ERROR(ft->engine()->ScanDocuments([&](uint64_t docid) {
@@ -96,7 +78,7 @@ Result<FsckReport> CheckFileSystem(FileSystem* fs) {
     if (name.tag == index::kTagFulltext) {
       // The content marker: IndexContent was acknowledged, so the document must be in
       // the full-text engine.
-      if (documents.count(oid) == 0 && pending.count(PendingKey(oid, content_marker)) == 0) {
+      if (documents.count(oid) == 0 && pending.count(oid) == 0) {
         report.problems.push_back("object " + std::to_string(oid) +
                                   " has indexed content missing from the full-text index");
       }
@@ -109,7 +91,7 @@ Result<FsckReport> CheckFileSystem(FileSystem* fs) {
       return true;
     }
     auto has = store->Contains(name.value, oid);
-    if ((!has.ok() || !*has) && pending.count(PendingKey(oid, name)) == 0) {
+    if (!has.ok() || !*has) {
       report.problems.push_back("reverse name " + name.tag + ":" + name.value +
                                 " missing from forward index (object " +
                                 std::to_string(oid) + ")");
@@ -133,16 +115,11 @@ Result<FsckReport> CheckFileSystem(FileSystem* fs) {
     }
     for (const auto& [value, oid] : entries) {
       if (!cluster->Exists(oid)) {
-        // A pending remove intent (Remove() on a lazy filesystem deletes the object
-        // before the worker strips its postings) is not an inconsistency.
-        if (pending.count(PendingKey(oid, {tag, value})) == 0) {
-          report.problems.push_back("index " + tag + " entry '" + value +
-                                    "' references dead object " + std::to_string(oid));
-        }
+        report.problems.push_back("index " + tag + " entry '" + value +
+                                  "' references dead object " + std::to_string(oid));
         continue;
       }
-      if (!fs->HasName(oid, {tag, value}) &&
-          pending.count(PendingKey(oid, {tag, value})) == 0) {
+      if (!fs->HasName(oid, {tag, value})) {
         report.problems.push_back("index " + tag + " entry '" + value +
                                   "' has no reverse name (object " + std::to_string(oid) +
                                   ")");
@@ -154,7 +131,7 @@ Result<FsckReport> CheckFileSystem(FileSystem* fs) {
   // Remove deletes the object before the indexer strips its document).
   for (ObjectId docid : documents) {
     report.postings_checked++;
-    if (!cluster->Exists(docid) && pending.count(PendingKey(docid, content_marker)) == 0) {
+    if (!cluster->Exists(docid) && pending.count(docid) == 0) {
       report.problems.push_back("full-text index contains dead object " +
                                 std::to_string(docid));
     }

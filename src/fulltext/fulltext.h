@@ -18,7 +18,7 @@
 // lock; Apply then removes earlier versions, fills in one aggregated df per distinct
 // term and one corpus-stats entry, and writes the whole batch with a single
 // BTree::BulkLoad. IndexDocument is the one-element batch. In a FileSystem the batches
-// come from its background indexer (src/core/lazy_tag_indexer.h) through
+// come from its background indexer (src/core/content_indexer.h) through
 // index::FullTextIndexStore::ApplyBatch, the paper's "background threads to perform
 // lazy full-text indexing" (§3.4).
 //

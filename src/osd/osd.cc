@@ -591,7 +591,7 @@ Status Osd::JournalRecord(Slice payload, uint64_t reserved, bool force_sync) {
     }
     seq = *seq_or;
   }
-  if (force_sync || !options_.group_commit) {
+  if (force_sync) {
     // Outside journal_mu_: the journal's leader/follower protocol does the fsync, and
     // concurrent appenders must be able to ride (or simply ignore) it.
     return journal_->CommitThrough(seq);

@@ -78,9 +78,6 @@ struct ObjectMeta {
 struct OsdOptions {
   // Append a redo record per mutating op and checkpoint jbd-style (see file comment).
   bool journaling = true;
-  // With journaling: defer the journal sync until Sync()/Checkpoint() (group commit).
-  // Without group commit every mutating op syncs the journal before returning.
-  bool group_commit = true;
   // Page-cache capacity. With journaling the cache can exceed this (no-steal).
   size_t pager_capacity_pages = 4096;
   // Journal region size; 0 = 1/8 of the device clamped to [256 KiB, 64 MiB].

@@ -68,7 +68,7 @@ class OsdCluster {
       std::function<Status(Osd* meta, Osd* volume, OsdCluster* cluster, size_t shard,
                            bool filter_to_shard, Slice payload)>;
 
-  // Per-shard unapplied-payload provider for the higher layer (the lazy tag indexer's
+  // Per-shard unapplied-payload provider for the higher layer (the content indexer's
   // queued intents, filtered to the shard whose checkpoint is asking).
   using UnappliedProviderFn = std::function<std::vector<std::string>(size_t shard)>;
 

@@ -97,16 +97,16 @@ Result<std::unique_ptr<Expr>> Parse(Slice text);
 // Canonical text form (parenthesized), for tests and debugging.
 std::string ToString(const Expr& expr);
 
-// Read-visibility contract for one Find call under lazy background indexing (see
-// docs/API.md). FULLTEXT is always indexed in the background; other tags only under
-// lazy tag indexing, and with inline tag indexing the two modes agree on them.
+// Read-visibility contract for one Find call (see docs/API.md). FULLTEXT is indexed in
+// the background; every other tag applies inline, so the two modes agree on queries
+// that do not touch FULLTEXT.
 enum class Visibility {
-  // Wait until the background indexer has applied every intent enqueued before the
-  // call for the tags this query touches (the per-tag applied-sequence horizon), then
-  // execute. Every previously acknowledged mutation, IndexContent included, is visible.
+  // For a query that touches FULLTEXT, wait until the background indexer has applied
+  // every content intent enqueued before the call, then execute. Every previously
+  // acknowledged IndexContent is visible.
   kStrict,
   // Execute against the postings as they are right now. Acknowledged-but-unapplied
-  // mutations may be missing; no waiting, the ingest-side win of lazy indexing.
+  // content may be missing; no waiting, the ingest-side win of lazy indexing.
   kRelaxed,
 };
 
@@ -121,7 +121,7 @@ struct FindOptions {
   ObjectId after = 0;
   // Optional work counters, filled during execution.
   PlanStats* stats = nullptr;
-  // Index visibility under lazy background indexing (see Visibility).
+  // Full-text visibility under lazy content indexing (see Visibility).
   Visibility visibility = Visibility::kStrict;
   // When set, Find fills a structured EXPLAIN of the executed plan. Costs extra
   // index reads after execution (actual cardinalities); leave null on hot paths.

@@ -232,9 +232,9 @@ TEST(ShardedFileSystemTest, NamespaceOpsSpanShardsAndSurviveReopen) {
   EXPECT_TRUE(report->clean()) << report->ToString();
 }
 
-// A hard crash (no checkpoint, journals only) with lazy tag intents pending on BOTH
-// shards: recovery must route each intent back through its owner's journal and rebuild
-// the unapplied queue.
+// A hard crash (no checkpoint, journals only) with lazy content intents pending on
+// BOTH shards, beside inline tags: recovery must route each intent back through its
+// owner's journal and rebuild the unapplied queue.
 TEST(ShardedFileSystemTest, LazyIntentsOnEveryShardSurviveAHardCrash) {
   auto bases = MakeDevices(2);
   std::vector<std::shared_ptr<FaultyBlockDevice>> faulty;
@@ -243,9 +243,7 @@ TEST(ShardedFileSystemTest, LazyIntentsOnEveryShardSurviveAHardCrash) {
     faulty.push_back(std::make_shared<FaultyBlockDevice>(b));
     devices.push_back(faulty.back());
   }
-  FileSystemOptions opts = ShardedOptions(2);
-  opts.lazy_tag_indexing = true;
-  opts.osd.group_commit = false;
+  const FileSystemOptions opts = ShardedOptions(2);
   std::vector<std::pair<ObjectId, std::string>> acked;
   {
     auto fs = FileSystem::Create(devices, opts);
@@ -258,12 +256,15 @@ TEST(ShardedFileSystemTest, LazyIntentsOnEveryShardSurviveAHardCrash) {
       oids.push_back(*oid);
       owners.insert((*fs)->cluster()->ShardOf(*oid));
     }
-    (*fs)->tag_indexer_for_testing()->SetPausedForTesting(true);
+    (*fs)->content_indexer_for_testing()->SetPausedForTesting(true);
     for (size_t i = 0; i < oids.size(); i++) {
       std::string value = "pinned" + std::to_string(i);
       ASSERT_TRUE((*fs)->AddTag(oids[i], {"UDEF", value}).ok());
+      ASSERT_TRUE((*fs)->Write(oids[i], 0, "word" + value).ok());
+      ASSERT_TRUE((*fs)->IndexContent(oids[i]).ok());
       acked.emplace_back(oids[i], value);
     }
+    EXPECT_EQ((*fs)->PendingContentIntents().size(), oids.size());
     ASSERT_TRUE((*fs)->Sync().ok());
     for (auto& f : faulty) {
       f->SetWriteBudget(0);  // Hard crash on every device at once.
@@ -274,7 +275,10 @@ TEST(ShardedFileSystemTest, LazyIntentsOnEveryShardSurviveAHardCrash) {
   ASSERT_TRUE((*reopened)->WaitForIndexing().ok());
   for (const auto& [oid, value] : acked) {
     EXPECT_EQ(StrictFind(reopened->get(), "UDEF:" + value), std::vector<ObjectId>{oid})
-        << "lost acknowledged intent " << value;
+        << "lost acknowledged tag " << value;
+    EXPECT_EQ(StrictFind(reopened->get(), "FULLTEXT:word" + value),
+              std::vector<ObjectId>{oid})
+        << "lost acknowledged content intent " << value;
   }
   auto report = CheckFileSystem(reopened->get());
   ASSERT_TRUE(report.ok());
@@ -294,8 +298,7 @@ class ClusterBatchTearTest
 TEST_P(ClusterBatchTearTest, TornCrossShardBatchIsAllOrNothing) {
   const size_t victim = static_cast<size_t>(std::get<0>(GetParam()));
   const int64_t budget = std::get<1>(GetParam());
-  FileSystemOptions opts = ShardedOptions(2);
-  opts.osd.group_commit = false;
+  const FileSystemOptions opts = ShardedOptions(2);
   std::vector<ObjectId> members;  // One object per shard: every batch is cross-shard.
   bool torn_acked = false;
   test::RunTornWriteCrashMulti(
@@ -477,15 +480,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ClusterDifferentialTest,
 
 // --------------------------------------------------------------- concurrent storm
 
-// 8 writer threads commit cross-shard batches against a 4-shard lazy filesystem while
-// strict and relaxed readers page results and fsck sweeps the live volume. TSan runs
-// this in CI. Mid-storm fsck reports may be transiently stale (pending intents) and
-// only the quiesced report is asserted clean.
+// 8 writer threads commit inline cross-shard batches (and queue content) against a
+// 4-shard filesystem while strict and relaxed readers page results and fsck sweeps the
+// live volume. TSan runs this in CI. Mid-storm fsck reports may be transiently stale
+// (a batch applied on one member but not yet the next) and only the quiesced report
+// is asserted clean.
 TEST(ClusterStormTest, CrossShardBatchStormWithReadersAndFsck) {
-  FileSystemOptions opts = ShardedOptions(4);
-  opts.lazy_tag_indexing = true;
-  opts.tag_intent_queue_capacity = 64;  // Exercise backpressure.
-  auto fsr = FileSystem::Create(MakeDevices(4), opts);
+  auto fsr = FileSystem::Create(MakeDevices(4), ShardedOptions(4));
   ASSERT_TRUE(fsr.ok()) << fsr.status().ToString();
   FileSystem* fs = fsr->get();
 
@@ -495,6 +496,7 @@ TEST(ClusterStormTest, CrossShardBatchStormWithReadersAndFsck) {
   for (int i = 0; i < 48; i++) {
     auto oid = fs->Create();
     ASSERT_TRUE(oid.ok());
+    ASSERT_TRUE(fs->Write(*oid, 0, "storm document " + std::to_string(i % 4)).ok());
     oids.push_back(*oid);
   }
   std::atomic<bool> stop{false};
@@ -524,10 +526,13 @@ TEST(ClusterStormTest, CrossShardBatchStormWithReadersAndFsck) {
             failures.fetch_add(1);
           }
         }
+        if (rng.OneIn(4) && !fs->IndexContent(oids[rng.Uniform(oids.size())]).ok()) {
+          failures.fetch_add(1);
+        }
       }
     });
   }
-  threads.emplace_back([&] {  // Strict reader.
+  threads.emplace_back([&] {  // Strict reader: tags, and content through the indexer.
     Random rng(8100);
     while (!stop.load()) {
       query::FindOptions o;
@@ -536,6 +541,7 @@ TEST(ClusterStormTest, CrossShardBatchStormWithReadersAndFsck) {
                                  "v" + std::to_string(rng.Uniform(8))),
                            o);
       if (!page.ok()) failures.fetch_add(1);
+      if (!fs->SearchText({"storm"}).ok()) failures.fetch_add(1);
     }
   });
   threads.emplace_back([&] {  // Relaxed reader.
@@ -566,7 +572,7 @@ TEST(ClusterStormTest, CrossShardBatchStormWithReadersAndFsck) {
   }
   EXPECT_EQ(failures.load(), 0);
   ASSERT_TRUE(fs->WaitForIndexing().ok());
-  EXPECT_TRUE(fs->PendingIndexIntents().empty());
+  EXPECT_TRUE(fs->PendingContentIntents().empty());
 
   auto report = CheckFileSystem(fs);
   ASSERT_TRUE(report.ok());

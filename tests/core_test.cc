@@ -315,9 +315,7 @@ TEST(CorePersistenceTest, NamespaceRecoversAfterCrash) {
   auto faulty = std::make_shared<FaultyBlockDevice>(base);
   ObjectId kept, removed;
   {
-    FileSystemOptions opts;
-    opts.osd.group_commit = false;  // Every op durable on return.
-    auto fs = FileSystem::Create(faulty, opts);
+    auto fs = FileSystem::Create(faulty);
     ASSERT_TRUE(fs.ok());
     auto r1 = (*fs)->Create({{"USER", "margo"}, {"UDEF", "crash-keeper"}});
     auto r2 = (*fs)->Create({{"UDEF", "doomed"}});
@@ -329,11 +327,10 @@ TEST(CorePersistenceTest, NamespaceRecoversAfterCrash) {
     ASSERT_TRUE((*fs)->IndexContent(kept).ok());
     ASSERT_TRUE((*fs)->RemoveTag(kept, {"USER", "margo"}).ok());
     ASSERT_TRUE((*fs)->Remove(removed).ok());
+    ASSERT_TRUE((*fs)->Sync().ok());  // Every op above is durable from here.
     faulty->SetWriteBudget(0);  // Crash: destructor checkpoint cannot reach the device.
   }
-  FileSystemOptions opts;
-  opts.osd.group_commit = false;
-  auto fs = FileSystem::Open(base, opts);
+  auto fs = FileSystem::Open(base);
   ASSERT_TRUE(fs.ok()) << fs.status().ToString();
 
   auto keeper = (*fs)->Lookup({{"UDEF", "crash-keeper"}});

@@ -1,6 +1,6 @@
 // Shared torn-write crash harness for failure-injection tests.
 //
-// journal_test.cc, osd_test.cc, lazy_index_test.cc, and cluster_test.cc all drive the
+// journal_test.cc, osd_test.cc, content_index_test.cc, and cluster_test.cc all drive the
 // same crash shape: build acknowledged state behind a FaultyBlockDevice, arm a write
 // budget with torn writes enabled, run the operation under test until the device dies
 // mid-write, hard-kill the device so teardown reaches nothing, then reopen from the

@@ -311,9 +311,7 @@ void ExpectBalancedJson(const std::string& doc) {
 }
 
 TEST(DumpMetricsTest, JsonDuringLiveTagStorm) {
-  FileSystemOptions options;
-  options.lazy_tag_indexing = true;
-  auto fs_or = FileSystem::Create(std::make_shared<MemoryBlockDevice>(kDev), options);
+  auto fs_or = FileSystem::Create(std::make_shared<MemoryBlockDevice>(kDev));
   ASSERT_TRUE(fs_or.ok()) << fs_or.status().ToString();
   std::unique_ptr<FileSystem> fs = std::move(fs_or).value();
 
@@ -330,6 +328,11 @@ TEST(DumpMetricsTest, JsonDuringLiveTagStorm) {
           continue;
         }
         if (!fs->AddTag(*oid, {"USER", "t" + std::to_string(t)}).ok()) {
+          failures++;
+        }
+        // Every fourth object also queues content, so the indexer gauge is live.
+        if (i % 4 == 0 && (!fs->Write(*oid, 0, Slice("storm words")).ok() ||
+                           !fs->IndexContent(*oid).ok())) {
           failures++;
         }
       }
@@ -372,9 +375,7 @@ TEST(DumpMetricsTest, JsonDuringLiveTagStorm) {
 // ---------------------------------------------------------------- visibility options
 
 TEST(VisibilityOptions, SearchTextAndCursorExposeVisibility) {
-  FileSystemOptions options;
-  options.lazy_tag_indexing = true;
-  auto fs_or = FileSystem::Create(std::make_shared<MemoryBlockDevice>(kDev), options);
+  auto fs_or = FileSystem::Create(std::make_shared<MemoryBlockDevice>(kDev));
   ASSERT_TRUE(fs_or.ok()) << fs_or.status().ToString();
   std::unique_ptr<FileSystem> fs = std::move(fs_or).value();
 

@@ -431,19 +431,13 @@ TEST(OsdTest, NamedRootsPersist) {
 // device afterward, then the volume is reopened from the underlying memory device.
 class CrashHarness {
  public:
-  explicit CrashHarness(OsdOptions opts = MakeDefaultOptions())
+  explicit CrashHarness(OsdOptions opts = {})
       : base_(std::make_shared<MemoryBlockDevice>(kDev)),
         faulty_(std::make_shared<FaultyBlockDevice>(base_)),
         opts_(opts) {
     auto r = Osd::Create(faulty_, opts_);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     osd_ = std::move(r).value();
-  }
-
-  static OsdOptions MakeDefaultOptions() {
-    OsdOptions opts;
-    opts.group_commit = false;  // Every op durable on return.
-    return opts;
   }
 
   Osd* osd() { return osd_.get(); }
@@ -476,6 +470,7 @@ TEST(OsdRecoveryTest, ReplaysLoggedOpsAfterCrash) {
   ASSERT_TRUE(h.osd()->Insert(a, 6, "<INS>").ok());
   ASSERT_TRUE(h.osd()->RemoveRange(b, 0, 7).ok());
   ASSERT_TRUE(h.osd()->SetAttributes(a, 0700, 42, 43).ok());
+  ASSERT_TRUE(h.osd()->Sync().ok());
 
   auto osd = h.CrashAndRecover();
   ASSERT_NE(osd, nullptr);
@@ -491,9 +486,7 @@ TEST(OsdRecoveryTest, ReplaysLoggedOpsAfterCrash) {
 }
 
 TEST(OsdRecoveryTest, UnsyncedGroupCommitOpsMayVanishButStateIsConsistent) {
-  OsdOptions opts;
-  opts.group_commit = true;
-  CrashHarness h(opts);
+  CrashHarness h;
   auto ra = h.osd()->CreateObject();
   ASSERT_TRUE(ra.ok());
   ObjectId a = *ra;
@@ -526,6 +519,7 @@ TEST(OsdRecoveryTest, CreateDeleteCycleRecovers) {
       kept.push_back(*oid);
     }
   }
+  ASSERT_TRUE(h.osd()->Sync().ok());
   auto osd = h.CrashAndRecover();
   ASSERT_NE(osd, nullptr);
   EXPECT_EQ(osd->object_count(), kept.size());
@@ -548,6 +542,7 @@ TEST(OsdRecoveryTest, RecoveryAfterCheckpointReplaysOnlySuffix) {
   ASSERT_TRUE(h.osd()->Write(a, 0, "checkpointed").ok());
   ASSERT_TRUE(h.osd()->Checkpoint().ok());
   ASSERT_TRUE(h.osd()->Write(a, 12, " plus suffix").ok());
+  ASSERT_TRUE(h.osd()->Sync().ok());
 
   auto osd = h.CrashAndRecover();
   ASSERT_NE(osd, nullptr);
@@ -578,7 +573,6 @@ TEST(OsdRecoveryTest, RepeatedCrashRecoverCyclesConvergeToSameState) {
   Random rng(77);
   auto base = std::make_shared<MemoryBlockDevice>(kDev);
   OsdOptions opts;
-  opts.group_commit = false;
   std::vector<ObjectId> live;
   std::map<ObjectId, std::string> model;
   {
@@ -593,6 +587,7 @@ TEST(OsdRecoveryTest, RepeatedCrashRecoverCyclesConvergeToSameState) {
       ASSERT_TRUE(osd->Write(*oid, 0, data).ok());
       model[*oid] = data;
     }
+    ASSERT_TRUE(osd->Sync().ok());
     faulty->SetWriteBudget(0);
   }
   // Three crash/recover cycles; state must be identical each time.
@@ -742,7 +737,7 @@ TEST(OsdConcurrencyTest, CheckpointsInterleaveWithWriters) {
 struct OsdWorkload {
   uint64_t seed;
   bool journaling;
-  bool group_commit;
+  bool sync_each_op;  // Sync() after every op.
   int ops;
 };
 
@@ -750,7 +745,7 @@ struct OsdWorkload {
 // included, so the name of a case changed from run to run.
 void PrintTo(const OsdWorkload& w, std::ostream* os) {
   *os << "seed " << w.seed << (w.journaling ? " journaled" : " unjournaled")
-      << (w.group_commit ? " group-commit " : " sync ") << w.ops << " ops";
+      << (w.sync_each_op ? " sync " : " ") << w.ops << " ops";
 }
 
 class OsdPropertyTest : public ::testing::TestWithParam<OsdWorkload> {};
@@ -762,7 +757,6 @@ TEST_P(OsdPropertyTest, MatchesModel) {
   auto dev = std::make_shared<MemoryBlockDevice>(kDev);
   OsdOptions opts;
   opts.journaling = p.journaling;
-  opts.group_commit = p.group_commit;
   auto osd = MakeOsd(dev, opts);
   Random rng(p.seed);
   std::map<ObjectId, std::string> model;
@@ -809,6 +803,9 @@ TEST_P(OsdPropertyTest, MatchesModel) {
         m.resize(new_size, '\0');
       }
     }
+    if (p.sync_each_op) {
+      ASSERT_TRUE(osd->Sync().ok());
+    }
   }
   ASSERT_TRUE(osd->Checkpoint().ok());
   osd.reset();
@@ -825,10 +822,10 @@ TEST_P(OsdPropertyTest, MatchesModel) {
 
 INSTANTIATE_TEST_SUITE_P(
     Workloads, OsdPropertyTest,
-    ::testing::Values(OsdWorkload{1, true, true, 800},    // Journaled, group commit.
-                      OsdWorkload{2, true, false, 400},   // Journaled, sync per op.
-                      OsdWorkload{3, false, false, 800},  // No journal.
-                      OsdWorkload{4, true, true, 1500})); // Longer journaled run.
+    ::testing::Values(OsdWorkload{1, true, false, 800},    // Journaled, group commit.
+                      OsdWorkload{2, true, true, 400},     // Journaled, Sync() per op.
+                      OsdWorkload{3, false, false, 800},   // No journal.
+                      OsdWorkload{4, true, false, 1500})); // Longer journaled run.
 
 // Fault sweep: a two-read transient burst injected at every point in the device read
 // stream is invisible — the default RetryPolicy (3 attempts) absorbs it, every object

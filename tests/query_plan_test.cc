@@ -288,11 +288,9 @@ TEST_F(QueryPlanTest, PaginationStableUnderConcurrentTagMutation) {
 class NamespaceBatchTest : public ::testing::Test {
  protected:
   NamespaceBatchTest() {
-    FileSystemOptions options;
-    options.osd.group_commit = false;  // Every journaled op durable on return.
     base_ = std::make_shared<MemoryBlockDevice>(kDev);
     faulty_ = std::make_shared<FaultyBlockDevice>(base_);
-    auto fs = FileSystem::Create(faulty_, options);
+    auto fs = FileSystem::Create(faulty_);
     EXPECT_TRUE(fs.ok()) << fs.status().ToString();
     fs_ = std::move(fs).value();
   }
@@ -392,7 +390,8 @@ TEST_F(NamespaceBatchTest, CommittedBatchRecoversAsAUnit) {
     ASSERT_TRUE(batch.AddTag(*a, {"UDEF", "unit" + std::to_string(i)}).ok());
   }
   ASSERT_TRUE(batch.RemoveTag(*b, {"UDEF", "doomed"}).ok());
-  ASSERT_TRUE(batch.Commit().ok());  // group_commit off: the record is durable.
+  ASSERT_TRUE(batch.Commit().ok());
+  ASSERT_TRUE(fs_->Sync().ok());  // The batch record is durable from here.
 
   auto fs = CrashAndRecover();
   ASSERT_NE(fs, nullptr);
@@ -409,15 +408,13 @@ TEST_F(NamespaceBatchTest, CommittedBatchRecoversAsAUnit) {
 }
 
 TEST(NamespaceBatchCrashTest, UnsyncedBatchVanishesAtomically) {
-  // With group commit the batch record stays buffered until Sync(); a crash before the
-  // sync must lose the WHOLE batch, not a prefix.
+  // The batch record stays buffered until Sync(); a crash before the sync must lose the
+  // WHOLE batch, not a prefix.
   auto base = std::make_shared<MemoryBlockDevice>(kDev);
   auto faulty = std::make_shared<FaultyBlockDevice>(base);
-  FileSystemOptions options;
-  options.osd.group_commit = true;
   ObjectId a = 0;
   {
-    auto fs = std::move(FileSystem::Create(faulty, options)).value();
+    auto fs = std::move(FileSystem::Create(faulty)).value();
     auto ra = fs->Create({{"UDEF", "pre-batch"}});
     ASSERT_TRUE(ra.ok());
     a = *ra;
@@ -429,7 +426,7 @@ TEST(NamespaceBatchCrashTest, UnsyncedBatchVanishesAtomically) {
     ASSERT_TRUE(batch.Commit().ok());
     faulty->SetWriteBudget(0);  // Crash before any sync.
   }
-  auto fs = std::move(FileSystem::Open(base, options)).value();
+  auto fs = std::move(FileSystem::Open(base)).value();
   EXPECT_EQ(*fs->Lookup({{"UDEF", "pre-batch"}}), (std::vector<ObjectId>{a}));
   for (int i = 0; i < 5; i++) {
     auto r = fs->Lookup({{"UDEF", "lost" + std::to_string(i)}});

@@ -110,12 +110,10 @@ TEST_F(SystemTest, DocumentWorkflowAcrossAllLayers) {
 TEST(SystemCrashTest, CrossLayerCrashConsistency) {
   auto base = std::make_shared<MemoryBlockDevice>(kDev);
   auto faulty = std::make_shared<FaultyBlockDevice>(base);
-  FileSystemOptions opts;
-  opts.osd.group_commit = false;
   std::string surviving_path;
   ObjectId tagged_oid = 0;
   {
-    auto fs = std::move(FileSystem::Create(faulty, opts)).value();
+    auto fs = std::move(FileSystem::Create(faulty)).value();
     auto pfs = std::move(posix::PosixFs::Mount(fs.get())).value();
     ASSERT_TRUE(pfs->Mkdir("/data").ok());
     auto fd = pfs->Open("/data/record.bin", posix::kWrite | posix::kCreate);
@@ -129,9 +127,10 @@ TEST(SystemCrashTest, CrossLayerCrashConsistency) {
     ASSERT_TRUE(fs->AddTag(tagged_oid, {"UDEF", "important"}).ok());
     ASSERT_TRUE(fs->IndexContent(tagged_oid).ok());
     ASSERT_TRUE(pfs->Link(surviving_path, "/data/alias.bin").ok());
+    ASSERT_TRUE(fs->Sync().ok());
     faulty->SetWriteBudget(0);  // Crash.
   }
-  auto fs = std::move(FileSystem::Open(base, opts)).value();
+  auto fs = std::move(FileSystem::Open(base)).value();
   auto pfs = std::move(posix::PosixFs::Mount(fs.get())).value();
 
   // Path, alias, tag, and content must all still name the same object.
